@@ -6,8 +6,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import group_for
-from ncphom import CoxeterGroup, GroupCapExceeded
+from ncphom import CoxeterGroup, GroupCapExceeded, PartitionLattice
 from ncphom.dihedral import DihedralGroup
+from ncphom.rootsys import RootSystem
+from ncphom.scalars import mat_mul, mat_rank
 
 SMALL_TYPES = ("A1", "A2", "A3", "B2", "B3", "I2(3)", "I2(4)",
                "I2(5)", "I2(6)")
@@ -151,3 +153,126 @@ def test_crystallographic_dihedral_agreement():
                              for w in group.enumerate_elements())
             profiles.append(lengths)
         assert profiles[0] == profiles[1]
+
+
+# -- differential checks against independent models -------------------------
+
+MATRIX_TYPES = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "D3", "D4",
+                "F4", "H3")
+DIHEDRAL_ORDERS = range(3, 13)
+
+
+def _ambient_matrices(name):
+    """Oracle: every element paired with its ambient matrix, by a BFS that
+    multiplies group keys and reflection matrices side by side."""
+    group = group_for(name)
+    rs = RootSystem(group.ctype)
+    simple = set(rs.simple_roots)
+    gens = [(group.reflection(k), rs.reflection_matrices[k])
+            for k, root in enumerate(rs.ordered_roots) if root in simple]
+    assert len(gens) == group.rank
+    matrix_of = {group.identity: rs.identity}
+    frontier = list(matrix_of)
+    while frontier:
+        new = []
+        for w in frontier:
+            for key, mat in gens:
+                img = group.multiply(w, key)
+                if img not in matrix_of:
+                    matrix_of[img] = mat_mul(matrix_of[w], mat)
+                    new.append(img)
+        frontier = new
+    return group, rs, matrix_of
+
+
+@pytest.mark.parametrize("name", MATRIX_TYPES)
+def test_keys_multiply_like_ambient_matrices(name):
+    group, rs, matrix_of = _ambient_matrices(name)
+    assert len(matrix_of) == group.ctype.group_order
+    assert len(set(matrix_of.values())) == len(matrix_of)
+    assert matrix_of[group.gamma] == rs.coxeter_matrix_form
+    for k, mat in enumerate(rs.reflection_matrices):
+        assert matrix_of[group.reflection(k)] == mat
+    keys = list(matrix_of)
+    rng = random.Random(5)
+    for _ in range(300):
+        a, b = rng.choice(keys), rng.choice(keys)
+        assert matrix_of[group.multiply(a, b)] == mat_mul(matrix_of[a],
+                                                          matrix_of[b])
+        assert matrix_of[group.inverse(a)] == tuple(zip(*matrix_of[a]))
+
+
+@pytest.mark.parametrize("name", MATRIX_TYPES)
+def test_length_is_the_field_rank_of_m_minus_identity(name):
+    group, rs, matrix_of = _ambient_matrices(name)
+    for w, mat in matrix_of.items():
+        diff = tuple(tuple(x - y for x, y in zip(row, idrow))
+                     for row, idrow in zip(mat, rs.identity))
+        assert group.reflection_length(w) == mat_rank(diff)
+
+
+def _symbolic_dihedral(m):
+    """Oracle: I2(m) as pairs ("r", i) = (s2 s1)^(i-1) and
+    ("t", i) = s1 (s2 s1)^(i-1), indices mod m in 1..m."""
+    def norm(i):
+        return (i - 1) % m + 1
+
+    def multiply(a, b):
+        (ka, i), (kb, j) = a, b
+        if ka == "r":
+            return ("r", norm(i + j - 1)) if kb == "r" else (
+                "t", norm(j - i + 1))
+        return ("t", norm(i + j - 1)) if kb == "r" else ("r", norm(j - i + 1))
+
+    elements = [(k, i) for k in "rt" for i in range(1, m + 1)]
+    return elements, multiply
+
+
+def _dihedral_keys(group, m):
+    """The group key of each symbolic element, from its defining word."""
+    s1, s2 = group.reflection(0), group.reflection(m - 1)
+    rotation = group.multiply(s2, s1)
+    key_of = {}
+    power = group.identity
+    for i in range(1, m + 1):
+        key_of[("r", i)] = power
+        key_of[("t", i)] = group.multiply(s1, power)
+        power = group.multiply(power, rotation)
+    return key_of
+
+
+@pytest.mark.parametrize("m", DIHEDRAL_ORDERS)
+def test_dihedral_keys_match_the_symbolic_model(m):
+    group = group_for(f"I2({m})")
+    elements, multiply = _symbolic_dihedral(m)
+    key_of = _dihedral_keys(group, m)
+    assert len(set(key_of.values())) == 2 * m
+    assert set(key_of.values()) == set(group.enumerate_elements())
+    assert key_of[("r", m)] == group.gamma
+    for i in range(m):
+        assert key_of[("t", i + 1)] == group.reflection(i)
+        for j in range(m):
+            assert group.conjugate_position(i, j) == (2 * j - i) % m
+    for a in elements:
+        kind, i = a
+        expected = 1 if kind == "t" else (0 if i == 1 else 2)
+        assert group.reflection_length(key_of[a]) == expected
+        for b in elements:
+            assert group.multiply(key_of[a], key_of[b]) == key_of[
+                multiply(a, b)]
+
+
+LATTICE_RANK_SIZES = {
+    "A1": [1, 1], "A2": [1, 3, 1], "A3": [1, 6, 6, 1],
+    "A4": [1, 10, 20, 10, 1], "A5": [1, 15, 50, 50, 15, 1], "B2": [1, 4, 1], "B3": [1, 9, 9, 1],
+    "B4": [1, 16, 36, 16, 1], "D3": [1, 6, 6, 1], "D4": [1, 12, 24, 12, 1],
+    "D5": [1, 20, 70, 70, 20, 1],
+    "F4": [1, 24, 55, 24, 1], "H3": [1, 15, 15, 1],
+    "I2(3)": [1, 3, 1], "I2(12)": [1, 12, 1],
+}
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_RANK_SIZES))
+def test_lattice_rank_sizes_are_pinned(name):
+    lat = PartitionLattice(group_for(name))
+    assert [len(row) for row in lat.by_rank] == LATTICE_RANK_SIZES[name]
