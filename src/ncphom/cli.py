@@ -4,8 +4,8 @@ Two commands: ``homology`` computes one homology table and prints it in
 a stable text, JSON, or CSV form; ``verify`` recomputes reference rows
 and structural invariants and reports one line per check.
 
-Exit codes: 0 success, 1 verification mismatch, 2 argument or type
-parse error, 3 group enumeration cap exceeded.
+Exit codes: 0 success, 1 verification mismatch, 2 argument, type parse
+or ``NCPHOM_WORKERS`` error, 3 group enumeration cap exceeded.
 
 ``NCPHOM_WORKERS`` sets how many verification tasks run in parallel
 (default: the machine's CPU count; 1 disables the process pool).
@@ -255,7 +255,12 @@ def cmd_verify(args) -> int:
         except TypeParseError as err:
             print(f"error: {err}", file=sys.stderr)
             return 2
-    workers = int(os.environ.get("NCPHOM_WORKERS", os.cpu_count() or 1))
+    text = os.environ.get("NCPHOM_WORKERS", str(os.cpu_count() or 1))
+    workers = int(text) if text.strip().isdecimal() else 0
+    if workers < 1:
+        print(f"error: NCPHOM_WORKERS must be an integer >= 1, got {text!r}",
+              file=sys.stderr)
+        return 2
     counts = {"PASS": 0, "FAIL": 0, "SKIP": 0}
 
     def emit(label, status, detail):

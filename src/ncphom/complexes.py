@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 from .chain_algebra import ChainAlgebra
 from .coxgroup import DEFAULT_GROUP_CAP
-from .homology import BoundaryMatrix
+from .homology import BoundaryMatrix, compose
 
 SPACES = ("FP", "FQ0", "FQ", "M", "MW")
 
@@ -54,24 +54,9 @@ class ChainComplex:
 
     def check_square_zero(self) -> None:
         for d in self.degrees[2:]:
-            product = _compose(self.matrices[d - 1], self.matrices[d])
-            assert not product, (self.name, d)
-
-
-def _compose(a: BoundaryMatrix, b: BoundaryMatrix) -> dict:
-    rows_of_a: dict = {}
-    for (r, c), v in a.entries.items():
-        rows_of_a.setdefault(c, []).append((r, v))
-    acc: dict = {}
-    for (mid, c), v in b.entries.items():
-        for r, w in rows_of_a.get(mid, ()):
-            key = (r, c)
-            total = acc.get(key, 0) + w * v
-            if total:
-                acc[key] = total
-            else:
-                acc.pop(key, None)
-    return acc
+            if compose(self.matrices[d - 1], self.matrices[d]).entries:
+                raise AssertionError(f"{self.name}: boundary {d - 1} "
+                                     f"after boundary {d} is not zero")
 
 
 def build_complex(algebra: ChainAlgebra, space: str,

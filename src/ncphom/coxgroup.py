@@ -1,21 +1,30 @@
 """The finite Coxeter group behind a type: elements, lengths, absolute order.
 
-Elements are opaque hashable keys: ambient reflection matrices (tuples of
-tuples of exact scalars) for the matrix-realized types, symbolic pairs for
-the dihedral family.  All length computations use reflection length; for the
-matrix backend that is rank(M - I) over the exact scalar field, which equals
-the codimension of the fixed space in the essential representation because
-every group element fixes the orthogonal complement of the root span
-pointwise (so the ambient rank never overcounts).
+Every element is keyed by its permutation of the 2N roots, as a tuple of
+ints: positions 0..N-1 are the positive roots rho_1..rho_N in the fixed
+reflection order, position N + k is -rho_{k+1}, and ``w[j]`` is the
+position of w(root j).  Products and inverses are index arithmetic.
+
+The simple reflections are permuted once at construction, from their
+ambient matrices (or, for I2(m), from the angles of its 2m roots).  The
+Coxeter element is their product over the color classes, and every other
+reflection is a gamma-conjugate along the root recurrence in ``rootsys``,
+so reflection k is the one that swaps rho_k and -rho_k.
+
+Reflection length is the codimension of the fixed space, rank(w - I),
+worked out once per distinct element in exact integer arithmetic on the
+simple-root coordinates of w(alpha_i) - alpha_i.  Those coordinates are
+integers for the crystallographic types and lie in Z[phi] = Z + Z phi for
+H3 and H4, whose 2n-dimensional integer realization has twice the rank.
+I2(m) reads its lengths off the permutation: rotations have length 2.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .dihedral import DihedralGroup
 from .rootsys import CoxeterType, RootSystem
-from .scalars import mat_mul, mat_rank
+from .scalars import GoldenNumber, integer_rank, mat_vec
 
 DEFAULT_GROUP_CAP = 52000
 
@@ -24,16 +33,50 @@ class GroupCapExceeded(RuntimeError):
     """Raised when an operation would enumerate a group above the cap."""
 
 
-def _as_int_matrix(m):
-    return tuple(tuple(int(x) for x in row) for row in m)
+def _compose(a, b):
+    return tuple([a[j] for j in b])
 
 
-def _all_integral(matrices) -> bool:
-    try:
-        return all(x.denominator == 1
-                   for m in matrices for row in m for x in row)
-    except AttributeError:
-        return False
+def _invert(a):
+    inv = [0] * len(a)
+    for j, x in enumerate(a):
+        inv[x] = j
+    return tuple(inv)
+
+
+def _dihedral_simples(m: int):
+    """s1, s2 of I2(m) on roots at angles k*pi/m (k < 2m, k < m positive):
+    the reflection in root a sends root k to root 2a + m - k, and the
+    simple roots are roots 0 and m - 1."""
+    if m < 3:
+        raise ValueError(f"I2({m}) is not supported: need m >= 3")
+    return tuple(tuple((2 * a + m - k) % (2 * m) for k in range(2 * m))
+                 for a in (0, m - 1))
+
+
+def _z_phi(x):
+    """x = a + b phi with integers a, b, for x in Q or Q(sqrt 5)."""
+    if isinstance(x, GoldenNumber):
+        a, b = x.a - x.b, 2 * x.b      # sqrt 5 = 2 phi - 1
+    else:
+        a, b = Fraction(x), Fraction(0)
+    if a.denominator != 1 or b.denominator != 1:
+        raise ValueError(f"root coordinate {x!r} is not in Z[phi]")
+    return int(a), int(b)
+
+
+def _coordinate_rows(coordinates):
+    """Integer rows of each positive root, in simple-root coordinates: one
+    row over Z, or the rows of r and phi*r over Z + Z phi (2n columns)."""
+    pairs = [[_z_phi(x) for x in root] for root in coordinates]
+    golden = any(b for root in pairs for _, b in root)
+    rows = []
+    for root in pairs:
+        a = [x for x, _ in root]
+        b = [y for _, y in root]
+        rows.append((a + b, b + [x + y for x, y in zip(a, b)])
+                    if golden else (a,))
+    return rows
 
 
 class CoxeterGroup:
@@ -41,36 +84,51 @@ class CoxeterGroup:
 
     def __init__(self, ctype: CoxeterType):
         self.ctype = ctype
-        self.rank = ctype.rank
+        self.rank = n = ctype.rank
         if ctype.is_dihedral:
-            self._backend = DihedralGroup(ctype.dihedral_order)
-            self._rootsys = None
-            self.identity = self._backend.identity
-            self.gamma = self._backend.gamma
-            self.reflection_keys = self._backend.reflection_elements()
+            simples = _dihedral_simples(ctype.dihedral_order)
+            classes = ((0,), (1,))
+            self._codim = self._rotation_codim
         else:
-            self._rootsys = RootSystem(ctype)
-            self._backend = None
-            self.identity = self._rootsys.identity
-            self.gamma = self._rootsys.coxeter_matrix_form
-            self.reflection_keys = self._rootsys.reflection_matrices
-            self._simple_matrices = self._rootsys.simple_matrices
-            # permutation-style realizations have integer matrices; plain
-            # int arithmetic multiplies them far faster than field scalars
-            self._integral = _all_integral(self.reflection_keys)
-            if self._integral:
-                self.identity = _as_int_matrix(self.identity)
-                self.gamma = _as_int_matrix(self.gamma)
-                self.reflection_keys = tuple(
-                    _as_int_matrix(m) for m in self.reflection_keys)
-                self._simple_matrices = tuple(
-                    _as_int_matrix(m) for m in self._simple_matrices)
-        self.num_reflections = len(self.reflection_keys)
-        self._position_of = {key: k for k, key in
-                             enumerate(self.reflection_keys)}
+            rs = RootSystem(ctype)
+            roots = rs.ordered_roots + tuple(
+                tuple(-x for x in r) for r in rs.ordered_roots)
+            where = {r: k for k, r in enumerate(roots)}
+            simples = tuple(tuple(where[mat_vec(m, r)] for r in roots)
+                            for m in rs.simple_matrices)
+            classes = rs.color_classes
+            rows = _coordinate_rows(rs.root_coordinates)
+            self._rows = rows + [tuple([-x for x in row] for row in parts)
+                                 for parts in rows]
+            self._simple_positions = [where[r] for r in rs.simple_roots]
+            self._codim = self._integer_codim
+
+        self.num_reflections = total = len(simples[0]) // 2
+        self.identity = tuple(range(2 * total))
+        gamma = self.identity
+        for cls in classes:
+            for i in cls:
+                gamma = _compose(gamma, simples[i])
+        self.gamma = gamma
+        gamma_inv = _invert(gamma)
+
+        def conjugate(t):
+            return _compose(_compose(gamma, t), gamma_inv)
+
+        first, second = classes
+        keys = [simples[i] for i in first]
+        keys += [conjugate(simples[i]) for i in second]
+        while len(keys) < total:
+            keys.append(conjugate(keys[-n]))
+        for k, t in enumerate(keys):
+            if t[k] != k + total:
+                raise RuntimeError(
+                    f"{ctype}: reflection {k + 1} does not negate root {k + 1}")
+        self.reflection_keys = tuple(keys)
+        self._simples = simples
+        self._position_of = {key: k for k, key in enumerate(keys)}
         self._length_cache: dict = {self.identity: 0}
         self._inverse_cache: dict = {}
-        self._conj_cache: dict = {}
         self._pair_product_cache: dict = {}
 
     @classmethod
@@ -80,38 +138,31 @@ class CoxeterGroup:
     # -- core operations -----------------------------------------------------
 
     def multiply(self, a, b):
-        if self._backend is not None:
-            return self._backend.multiply(a, b)
-        return mat_mul(a, b)
+        return tuple([a[j] for j in b])
 
     def inverse(self, a):
         cached = self._inverse_cache.get(a)
-        if cached is not None:
-            return cached
-        if self._backend is not None:
-            inv = self._backend.inverse(a)
-        else:
-            # orthogonal matrices: inverse = transpose
-            inv = tuple(zip(*a))
-        self._inverse_cache[a] = inv
-        return inv
+        if cached is None:
+            cached = self._inverse_cache[a] = _invert(a)
+        return cached
 
     def reflection_length(self, a) -> int:
         cached = self._length_cache.get(a)
-        if cached is not None:
-            return cached
-        if self._backend is not None:
-            length = self._backend.reflection_length(a)
-        else:
-            diff = tuple(tuple(x - y for x, y in zip(row, idrow))
-                         for row, idrow in zip(a, self.identity))
-            if self._integral:
-                # rank elimination divides, so promote int entries
-                diff = tuple(tuple(Fraction(x) for x in row)
-                             for row in diff)
-            length = mat_rank(diff)
-        self._length_cache[a] = length
-        return length
+        if cached is None:
+            cached = self._length_cache[a] = self._codim(a)
+        return cached
+
+    def _integer_codim(self, a) -> int:
+        rows = self._rows
+        diff = [[x - y for x, y in zip(img, base)]
+                for s in self._simple_positions
+                for img, base in zip(rows[a[s]], rows[s])]
+        return integer_rank(diff) // len(rows[0])
+
+    def _rotation_codim(self, a) -> int:
+        if a == self.identity:
+            return 0
+        return 2 if (a[1] - a[0]) % len(a) == 1 else 1
 
     def absolute_leq(self, a, b) -> bool:
         """a <= b in absolute order: lengths add along a, a^{-1} b."""
@@ -134,17 +185,9 @@ class CoxeterGroup:
         return self._position_of[element]
 
     def conjugate_position(self, i: int, j: int) -> int:
-        """Position of t_i ^ t_j = t_j t_i t_j (0-based positions)."""
-        key = (i, j)
-        cached = self._conj_cache.get(key)
-        if cached is not None:
-            return cached
-        if self._backend is not None:
-            pos = self._backend.conjugate_position(i, j)
-        else:
-            pos = self._rootsys.conjugate_position(i, j)
-        self._conj_cache[key] = pos
-        return pos
+        """Position of t_i ^ t_j = t_j t_i t_j (0-based positions): the
+        root of t_j t_i t_j is t_j(rho_i), up to sign."""
+        return self.reflection_keys[j][i] % self.num_reflections
 
     def reflection_product(self, i: int, j: int):
         """Element t_i t_j (0-based positions), cached pairwise."""
@@ -168,25 +211,25 @@ class CoxeterGroup:
     # -- enumeration ---------------------------------------------------------
 
     def enumerate_elements(self, cap: int = DEFAULT_GROUP_CAP):
-        """All group elements (BFS over simple products for the matrix
-        backend); raises GroupCapExceeded if |W| exceeds the cap."""
+        """All group elements, by BFS over products with simple
+        reflections; raises GroupCapExceeded if |W| exceeds the cap."""
         order = self.ctype.group_order
         if cap is not None and order > cap:
             raise GroupCapExceeded(
                 f"|W({self.ctype})| = {order} exceeds the cap {cap}")
-        if self._backend is not None:
-            return self._backend.enumerate_elements()
-        generators = self._simple_matrices
         seen = {self.identity}
         frontier = [self.identity]
         while frontier:
             new = []
             for w in frontier:
-                for g in generators:
-                    img = mat_mul(w, g)
+                for g in self._simples:
+                    img = _compose(w, g)
                     if img not in seen:
                         seen.add(img)
                         new.append(img)
             frontier = new
-        assert len(seen) == order, (len(seen), order)
+        if len(seen) != order:
+            raise RuntimeError(
+                f"{self.ctype}: enumerated {len(seen)} elements, "
+                f"expected {order}")
         return list(seen)

@@ -284,18 +284,6 @@ def _simple_roots_icosahedral(rank: int):
 # the root system proper
 
 
-@dataclass(frozen=True)
-class Reflection:
-    """A reflection, numbered from 1 in the fixed total order."""
-
-    index: int                  # 1-based position in the reflection order
-    root: tuple                 # the positive root, ambient coordinates
-    matrix: tuple               # ambient reflection matrix
-
-    def __repr__(self):
-        return f"Reflection({self.index})"
-
-
 class RootSystem:
     """Positive roots, reflection matrices, and the fixed reflection order
     for one matrix-realized type (everything except the dihedral family).
@@ -303,7 +291,7 @@ class RootSystem:
 
     def __init__(self, ctype: CoxeterType):
         if ctype.is_dihedral:
-            raise ValueError("dihedral types use the symbolic backend")
+            raise ValueError("dihedral types have no realization here")
         self.ctype = ctype
         n = ctype.rank
         if ctype.family == "H":
@@ -321,11 +309,12 @@ class RootSystem:
 
         all_roots = self._generate_roots()
         gram = tuple(tuple(dot(a, b) for b in simples) for a in simples)
-        positives = []
+        coordinates = {}   # positive root -> simple-root coordinates
         for r in all_roots:
             coeffs = solve_linear(gram, tuple(dot(r, a) for a in simples))
             if all(c >= 0 for c in coeffs):
-                positives.append(r)
+                coordinates[r] = coeffs
+        positives = list(coordinates)
         assert 2 * len(positives) == len(all_roots)
         assert len(positives) == ctype.num_reflections, (
             len(positives), ctype.num_reflections)
@@ -346,10 +335,10 @@ class RootSystem:
         self.ordered_roots = self._order_roots(gamma)
         self.reflection_matrices = tuple(
             reflection_matrix(r, self.identity) for r in self.ordered_roots)
+        self.root_coordinates = tuple(coordinates[r]
+                                      for r in self.ordered_roots)
         self._root_to_position = {r: k for k, r in
                                   enumerate(self.ordered_roots)}
-        self._matrix_to_position = {m: k for k, m in
-                                    enumerate(self.reflection_matrices)}
 
     # -- construction helpers ------------------------------------------------
 
@@ -416,16 +405,6 @@ class RootSystem:
         return tuple(rho)
 
     # -- public surface ------------------------------------------------------
-
-    def reflections(self):
-        """All reflections as 1-indexed `Reflection` records, in order."""
-        return tuple(Reflection(k + 1, r, m) for k, (r, m) in
-                     enumerate(zip(self.ordered_roots,
-                                   self.reflection_matrices)))
-
-    def reflection_position(self, matrix) -> int:
-        """0-based position of a reflection matrix in the fixed order."""
-        return self._matrix_to_position[matrix]
 
     def conjugate_position(self, i: int, j: int) -> int:
         """0-based position of t_i conjugated by t_j (both 0-based)."""

@@ -202,6 +202,31 @@ def mat_rank(m) -> int:
     return rank
 
 
+def integer_rank(rows) -> int:
+    """Rank over Q of an integer matrix, by fraction-free (Bareiss)
+    elimination: every entry stays an integer minor, so each division by
+    the previous pivot is exact."""
+    rows = [list(r) for r in rows]
+    rank, previous = 0, 1
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]),
+                     None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        pv = top[col]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col]
+            rows[r] = [(pv * x - f * y) // previous
+                       for x, y in zip(rows[r], top)]
+        previous = pv
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
 def solve_linear(m, v):
     """Solve m @ x = v for square invertible m; returns x as a tuple."""
     n = len(m)

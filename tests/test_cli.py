@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -207,3 +209,24 @@ def test_verify_runs_in_a_process_pool(capsys, monkeypatch):
         "PASS tables I2(4) FP: H0=Z H1=Z^3",
         "2 passed, 0 failed, 0 skipped",
     ]
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-1", "", "2.5"])
+def test_bad_worker_count_exits_2(capsys, monkeypatch, value):
+    monkeypatch.setenv("NCPHOM_WORKERS", value)
+    code, out, err = run(capsys, "verify", "tables", "--type", "A2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: NCPHOM_WORKERS")
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-m", "ncphom", "homology", "A3",
+                           "FP"], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "H0=Z H1=Z^2 H2=Z^2\n"

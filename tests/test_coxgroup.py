@@ -7,9 +7,8 @@ import pytest
 
 from conftest import group_for
 from ncphom import CoxeterGroup, GroupCapExceeded, PartitionLattice
-from ncphom.dihedral import DihedralGroup
-from ncphom.rootsys import RootSystem
-from ncphom.scalars import mat_mul, mat_rank
+from ncphom.rootsys import CoxeterType, RootSystem
+from ncphom.scalars import mat_mul, mat_rank, mat_vec
 
 SMALL_TYPES = ("A1", "A2", "A3", "B2", "B3", "I2(3)", "I2(4)",
                "I2(5)", "I2(6)")
@@ -62,9 +61,10 @@ def _det(matrix):
 
 @pytest.mark.parametrize("name", ["A3", "B3"])
 def test_parity_is_the_determinant_sign(name):
-    group = group_for(name)
+    group, _, matrix_of = _ambient_matrices(name)
+    assert len(matrix_of) == len(group.enumerate_elements())
     for w in group.enumerate_elements():
-        expected = 0 if _det(w) == 1 else 1
+        expected = 0 if _det(matrix_of[w]) == 1 else 1
         assert group.parity(w) == expected
 
 
@@ -123,7 +123,7 @@ def test_inverse_and_sequence_product():
 
 
 def test_dihedral_backend_relations():
-    d = DihedralGroup(7)
+    d = group_for("I2(7)")
     elements = d.enumerate_elements()
     assert len(elements) == 14
     for a in elements:
@@ -132,7 +132,7 @@ def test_dihedral_backend_relations():
             for c in elements:
                 assert d.multiply(d.multiply(a, b), c) == d.multiply(
                     a, d.multiply(b, c))
-    reflections = d.reflection_elements()
+    reflections = d.reflection_keys
     assert all(d.reflection_length(t) == 1 for t in reflections)
     assert d.reflection_length(d.identity) == 0
     assert d.reflection_length(d.gamma) == 2
@@ -140,7 +140,7 @@ def test_dihedral_backend_relations():
 
 def test_dihedral_rejects_degenerate_order():
     with pytest.raises(ValueError):
-        DihedralGroup(2)
+        CoxeterGroup(CoxeterType("I", 2, 2))
 
 
 def test_crystallographic_dihedral_agreement():
@@ -193,6 +193,12 @@ def test_keys_multiply_like_ambient_matrices(name):
     assert matrix_of[group.gamma] == rs.coxeter_matrix_form
     for k, mat in enumerate(rs.reflection_matrices):
         assert matrix_of[group.reflection(k)] == mat
+    # keys are the permutations the matrices induce on the 2N roots
+    roots = rs.ordered_roots + tuple(tuple(-x for x in r)
+                                     for r in rs.ordered_roots)
+    where = {r: j for j, r in enumerate(roots)}
+    for w, mat in matrix_of.items():
+        assert w == tuple(where[mat_vec(mat, r)] for r in roots)
     keys = list(matrix_of)
     rng = random.Random(5)
     for _ in range(300):
@@ -200,6 +206,17 @@ def test_keys_multiply_like_ambient_matrices(name):
         assert matrix_of[group.multiply(a, b)] == mat_mul(matrix_of[a],
                                                           matrix_of[b])
         assert matrix_of[group.inverse(a)] == tuple(zip(*matrix_of[a]))
+
+
+@pytest.mark.parametrize("name", MATRIX_TYPES + ("H4", "E6"))
+def test_reflection_k_swaps_its_root_and_its_negative(name):
+    group = CoxeterGroup.from_name(name)
+    total = group.num_reflections
+    assert len(group.identity) == 2 * total
+    for k, t in enumerate(group.reflection_keys):
+        assert t[k] == k + total and t[k + total] == k
+        assert group.multiply(t, t) == group.identity
+        assert group.reflection_length(t) == 1
 
 
 @pytest.mark.parametrize("name", MATRIX_TYPES)
@@ -268,6 +285,7 @@ LATTICE_RANK_SIZES = {
     "B4": [1, 16, 36, 16, 1], "D3": [1, 6, 6, 1], "D4": [1, 12, 24, 12, 1],
     "D5": [1, 20, 70, 70, 20, 1],
     "F4": [1, 24, 55, 24, 1], "H3": [1, 15, 15, 1],
+    "H4": [1, 60, 158, 60, 1],
     "I2(3)": [1, 3, 1], "I2(12)": [1, 12, 1],
 }
 

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from ncphom.scalars import (GOLDEN_RATIO, GoldenNumber, dot, identity_matrix,
-                            mat_mul, mat_rank, mat_vec, solve_linear)
+                            integer_rank, mat_mul, mat_rank, mat_vec,
+                            solve_linear)
 
 
 def test_golden_ratio_satisfies_its_equation():
@@ -104,3 +105,21 @@ def test_helpers_work_over_golden_numbers():
     assert mat_rank(m) == 2
     x = solve_linear(m, (GoldenNumber(1), GoldenNumber(0)))
     assert mat_vec(m, x) == (GoldenNumber(1), GoldenNumber(0))
+
+
+def test_integer_rank_matches_the_field_rank():
+    rng = random.Random(13)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        rank = rng.randint(0, min(rows, cols))
+        # a random product of two factors has rank at most `rank`
+        left = [[rng.randint(-4, 4) for _ in range(rank)] for _ in range(rows)]
+        right = [[rng.randint(-4, 4) for _ in range(cols)]
+                 for _ in range(rank)]
+        m = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
+             if rank else [0] * cols for row in left]
+        expected = mat_rank(tuple(tuple(Fraction(x) for x in row)
+                                  for row in m))
+        assert integer_rank(m) == expected, m
+    assert integer_rank([]) == 0
+    assert integer_rank([[0, 0], [0, 0]]) == 0
