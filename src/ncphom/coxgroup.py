@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .rootsys import CoxeterType, RootSystem
-from .scalars import GoldenNumber, integer_rank, mat_vec
+from .scalars import GoldenNumber, integer_rank
 
 DEFAULT_GROUP_CAP = 52000
 
@@ -94,8 +94,8 @@ class CoxeterGroup:
             roots = rs.ordered_roots + tuple(
                 tuple(-x for x in r) for r in rs.ordered_roots)
             where = {r: k for k, r in enumerate(roots)}
-            simples = tuple(tuple(where[mat_vec(m, r)] for r in roots)
-                            for m in rs.simple_matrices)
+            simples = tuple(tuple(where[images[r]] for r in roots)
+                            for images in rs.simple_images)
             classes = rs.color_classes
             rows = _coordinate_rows(rs.root_coordinates)
             self._rows = rows + [tuple([-x for x in row] for row in parts)

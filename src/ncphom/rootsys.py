@@ -343,13 +343,17 @@ class RootSystem:
     # -- construction helpers ------------------------------------------------
 
     def _generate_roots(self):
+        """Close the simple roots under the simple reflections, recording
+        in ``simple_images[i][r]`` the image of every root r under s_i."""
+        self.simple_images = tuple({} for _ in self.simple_matrices)
         roots = set(self.simple_roots)
         frontier = list(self.simple_roots)
         while frontier:
             new = []
             for r in frontier:
-                for m in self.simple_matrices:
-                    img = mat_vec(m, r)
+                for m, images in zip(self.simple_matrices,
+                                     self.simple_images):
+                    img = images[r] = mat_vec(m, r)
                     if img not in roots:
                         roots.add(img)
                         new.append(img)
