@@ -291,7 +291,7 @@ class RootSystem:
 
     def __init__(self, ctype: CoxeterType):
         if ctype.is_dihedral:
-            raise ValueError("dihedral types have no realization here")
+            raise ValueError("dihedral types have no matrix realization")
         self.ctype = ctype
         n = ctype.rank
         if ctype.family == "H":
