@@ -5,12 +5,23 @@ Two elimination paths compute invariant factors:
 - a dense textbook reduction for small matrices (pivot = entry of minimal
   absolute value, ties broken by lowest row then column),
 - a sparse dict-of-dicts elimination for the larger boundary matrices,
-  preferring unit pivots with least fill; remainders shrink the minimum
-  absolute entry monotonically, so the loop terminates.
+  in two phases.  First unit pivots, chosen Markowitz-style to limit
+  fill: a lazy min-heap of column counts yields the shortest column that
+  holds a +-1 entry, and within it the +-1 entry of the shortest row.
+  Clearing that column by row operations stays integral because the
+  pivot is a unit; the pivot row and column are then dropped, and the
+  columns the pivot row touched go back on the heap.  A column without a
+  unit waits until fill changes it.  Second, the core left when no unit
+  remains goes through a minimal-|v| reduction (least fill among equal
+  pivots) whose balanced remainders shrink the minimum absolute entry
+  monotonically, so the loop terminates.  Every boundary matrix of the
+  paper's tables checked so far leaves a core of at most a few hundred
+  nonzeros; most leave none (Dumas, Saunders and Villard, "On efficient
+  sparse integer matrix Smith normal form computations", 2001).
 
-Both end with a divisibility fixup (replace any non-dividing diagonal pair
-by gcd and lcm) so the returned factors form the canonical chain
-d1 | d2 | ... .  Homology per degree k is assembled as
+Both end with a divisibility fixup (replace any non-dividing pair of
+non-unit diagonal entries by gcd and lcm) so the returned factors form
+the canonical chain d1 | d2 | ... .  Homology per degree k is assembled as
 
     free rank = dim C_k - rank(out of k) - rank(into k),
     torsion   = invariant factors > 1 of the incoming boundary,
@@ -22,6 +33,7 @@ lowest degree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 DENSE_LIMIT = 200
@@ -55,7 +67,9 @@ class BoundaryMatrix:
 
 def compose(a: BoundaryMatrix, b: BoundaryMatrix) -> BoundaryMatrix:
     """Matrix product a @ b over the integers."""
-    assert a.cols == b.rows, (a.cols, b.rows)
+    if a.cols != b.rows:
+        raise ValueError(f"cannot compose a {a.rows}x{a.cols} matrix with "
+                         f"a {b.rows}x{b.cols} matrix")
     rows_of_a: dict = {}
     for (r, c), v in a.entries.items():
         rows_of_a.setdefault(c, []).append((r, v))  # keyed by a's column
@@ -156,6 +170,52 @@ def _sparse_diagonalize(matrix: BoundaryMatrix):
         cols.setdefault(c, set()).add(r)
     diag = []
 
+    # Unit pivots, shortest column first.  Heap entries whose count no
+    # longer matches the column are stale and skipped; a column without a
+    # unit is dropped until fill changes it and pushes it again.
+    heap = [(len(rs), c) for c, rs in cols.items()]
+    heapify(heap)
+    while heap:
+        count, pc = heappop(heap)
+        pcol = cols.get(pc)
+        if pcol is None or len(pcol) != count:
+            continue
+        pr = min((r for r in pcol if rows[r][pc] in (1, -1)),
+                 key=lambda r: (len(rows[r]), r), default=None)
+        if pr is None:
+            continue
+        prow = rows.pop(pr)
+        pv = prow.pop(pc)
+        pcol.discard(pr)
+        for c in prow:
+            cols[c].discard(pr)
+        # Clear the pivot column by row operations; clearing the pivot row
+        # by column operations would then touch no other row, so it is
+        # skipped.  Only the pivot row's columns change.
+        for r in pcol:
+            row = rows[r]
+            q = row.pop(pc) * pv
+            for c, w in prow.items():
+                v = row.get(c, 0) - q * w
+                if v:
+                    if c not in row:
+                        cols[c].add(r)
+                    row[c] = v
+                else:
+                    del row[c]
+                    cols[c].discard(r)
+            if not row:
+                del rows[r]
+        del cols[pc]
+        diag.append(pv)
+        for c in prow:
+            col = cols[c]
+            if col:
+                heappush(heap, (len(col), c))
+            else:
+                del cols[c]
+
+    # The core, where no entry is a unit: minimal-|v| pivots.
     def discard(r, c):
         row = rows[r]
         row.pop(c, None)
@@ -175,19 +235,17 @@ def _sparse_diagonalize(matrix: BoundaryMatrix):
             discard(r, c)
 
     while rows:
-        # pivot: unit if possible, else min |v|; among those least fill
+        # pivot: min |v|, among those least fill
         best = None
         best_key = None
         for r, row in rows.items():
             for c, v in row.items():
-                a = abs(v)
                 fill = (len(row) - 1) * (len(cols[c]) - 1)
-                key = (a != 1, a, fill, r, c)
+                key = (abs(v), fill, r, c)
                 if best_key is None or key < best_key:
                     best_key = key
                     best = (r, c, v)
-            if best_key is not None and best_key[0] is False \
-                    and best_key[2] == 0:
+            if best_key[:2] == (1, 0):
                 break
         pr, pc, pv = best
         # reduce the pivot column
@@ -225,12 +283,13 @@ def _sparse_diagonalize(matrix: BoundaryMatrix):
         # pivot row and column are clean: extract
         diag.append(pv)
         discard(pr, pc)
-        assert pr not in rows or pc not in rows.get(pr, {})
     return diag
 
 
 def _divisibility_fixup(factors):
-    factors = sorted(factors)
+    # 1 divides everything, so only the other factors need fixing up.
+    ones = [f for f in factors if f == 1]
+    factors = sorted(f for f in factors if f != 1)
     changed = True
     while changed:
         changed = False
@@ -244,7 +303,7 @@ def _divisibility_fixup(factors):
                     changed = True
         if changed:
             factors.sort()
-    return factors
+    return ones + factors
 
 
 @dataclass(frozen=True)
@@ -256,10 +315,14 @@ class HomologyGroup:
     torsion: tuple = ()
 
     def __post_init__(self):
-        assert self.free_rank >= 0
+        if self.free_rank < 0:
+            raise ValueError(f"negative free rank {self.free_rank}")
+        if any(t <= 1 for t in self.torsion):
+            raise ValueError(f"torsion factors must exceed 1: {self.torsion}")
         for a, b in zip(self.torsion, self.torsion[1:]):
-            assert b % a == 0, self.torsion
-        assert all(t > 1 for t in self.torsion)
+            if b % a:
+                raise ValueError(
+                    f"torsion factors must divide the next: {self.torsion}")
 
     @property
     def is_trivial(self) -> bool:
@@ -297,8 +360,10 @@ def homology_of(complex_) -> list:
     Chain degree d becomes topological degree d - min(degrees).
     """
     degrees = list(complex_.degrees)
-    assert degrees == sorted(degrees)
     offset = degrees[0]
+    if degrees != list(range(offset, offset + len(degrees))):
+        raise ValueError(f"chain degrees must be consecutive and ascending: "
+                         f"{degrees}")
     ranks = {}
     torsion = {}
     for d in degrees[1:]:
@@ -309,7 +374,6 @@ def homology_of(complex_) -> list:
     for d in degrees:
         free = complex_.dims[d] - ranks.get(d, 0) - ranks.get(d + 1, 0)
         out.append(HomologyGroup(free, torsion.get(d + 1, ())))
-    assert all(d - offset == i for i, d in enumerate(degrees))
     return out
 
 

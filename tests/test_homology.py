@@ -7,13 +7,20 @@ sparse elimination paths face the same oracle.
 """
 
 import random
+import subprocess
+import sys
+import textwrap
 from itertools import combinations
 from math import gcd
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ncphom.homology import (BoundaryMatrix, HomologyGroup, compose,
-                             euler_characteristic, homology_of,
+from conftest import algebra_for
+from ncphom import build_complex
+from ncphom.homology import (DENSE_LIMIT, BoundaryMatrix, HomologyGroup,
+                             compose, euler_characteristic, homology_of,
                              invariant_factors, _dense_diagonalize,
                              _divisibility_fixup, _sparse_diagonalize)
 
@@ -115,6 +122,37 @@ def test_divisibility_fixup_produces_a_chain():
             assert b % a == 0
 
 
+def _pairwise_fixup(factors):
+    """The divisibility fixup as it was before units were set aside: every
+    pair compared, 1s included."""
+    factors = sorted(factors)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(factors)):
+            for j in range(i + 1, len(factors)):
+                a, b = factors[i], factors[j]
+                if b % a:
+                    g = gcd(a, b)
+                    factors[i] = g
+                    factors[j] = a * b // g
+                    changed = True
+        if changed:
+            factors.sort()
+    return factors
+
+
+def test_divisibility_fixup_matches_the_pairwise_fixup():
+    rng = random.Random(17)
+    for _ in range(300):
+        factors = [1] * rng.randint(0, 40) + [
+            rng.choice([2, 3, 4, 5, 6, 9, 10, 12, 30])
+            for _ in range(rng.randint(0, 6))]
+        rng.shuffle(factors)
+        assert _divisibility_fixup(factors) == _pairwise_fixup(factors), \
+            factors
+
+
 def test_boundary_matrix_operations():
     m = _matrix_from_rows([[1, 2], [0, -1]])
     assert m.column(0) == {0: 1}
@@ -197,12 +235,48 @@ def test_homology_group_formatting_and_dicts():
 
 
 def test_homology_group_rejects_broken_torsion():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         HomologyGroup(1, (3, 2))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         HomologyGroup(1, (1,))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         HomologyGroup(-1)
+
+
+def test_answer_checks_survive_python_dash_o():
+    """The checks that guard answers raise under ``python -O`` too."""
+    script = textwrap.dedent("""
+        from ncphom.homology import BoundaryMatrix, HomologyGroup, compose
+        from ncphom.homology import homology_of
+
+        class Complex:
+            def __init__(self, degrees):
+                self.degrees = degrees
+                self.dims = {d: 1 for d in degrees}
+                self.matrices = {d: BoundaryMatrix(1, 1) for d in degrees}
+
+        cases = [
+            lambda: compose(BoundaryMatrix(2, 3), BoundaryMatrix(2, 3)),
+            lambda: HomologyGroup(-1),
+            lambda: HomologyGroup(0, (1,)),
+            lambda: HomologyGroup(0, (3, 2)),
+            lambda: homology_of(Complex([2, 1])),
+            lambda: homology_of(Complex([0, 2])),
+        ]
+        for case in cases:
+            try:
+                case()
+            except ValueError:
+                print("raised")
+            else:
+                print("passed")
+    """)
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-O", "-c", script],
+                         capture_output=True, text=True, timeout=60,
+                         env={"PYTHONPATH": str(src)})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["raised"] * 6
 
 
 def test_sparse_path_handles_negative_pivots():
@@ -213,3 +287,75 @@ def test_sparse_path_handles_negative_pivots():
     dense, sparse = _both_paths(_matrix_from_rows(rows))
     assert dense == expected
     assert sparse == expected
+
+
+@st.composite
+def scrambled_diagonals(draw, sizes):
+    """A diagonal of known invariant factors (1s mixed with 2, 6 and 12,
+    which already form a divisibility chain), scrambled by random
+    unimodular row and column operations and permutations.  The
+    non-unit factors leave a core after the unit pivots."""
+    m = draw(sizes)
+    n = draw(sizes)
+    others = draw(st.lists(st.sampled_from([2, 6, 12]), max_size=6))
+    others = others[:min(m, n)]
+    ones = draw(st.integers(0 if others else 1, min(m, n) - len(others)))
+    factors = [1] * ones + others
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    rows = [[0] * n for _ in range(m)]
+    for i, f in enumerate(draw(st.permutations(factors))):
+        rows[i][i] = f
+    # m + n operations give about as many nonzeros per column as the
+    # boundary matrices have (up to about 6).
+    for _ in range(m + n):
+        mult = rng.choice([-2, -1, 1, 2])
+        if rng.random() < 0.5:
+            i, j = rng.sample(range(m), 2)
+            rows[i] = [a + mult * b for a, b in zip(rows[i], rows[j])]
+        else:
+            i, j = rng.sample(range(n), 2)
+            for row in rows:
+                row[i] += mult * row[j]
+    rng.shuffle(rows)
+    perm = rng.sample(range(n), n)
+    rows = [[row[c] for c in perm] for row in rows]
+    return _matrix_from_rows(rows), sorted(factors)
+
+
+SMALL_SIZES = st.integers(2, 12)
+LARGE_SIZES = st.integers(DENSE_LIMIT - 20, DENSE_LIMIT + 30)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scrambled_diagonals(SMALL_SIZES))
+def test_scrambled_small_diagonals_on_both_paths(case):
+    matrix, expected = case
+    dense, sparse = _both_paths(matrix)
+    assert sparse == expected
+    assert dense == expected
+
+
+@settings(max_examples=12, deadline=None)
+@given(scrambled_diagonals(LARGE_SIZES))
+def test_scrambled_large_diagonals_on_both_paths(case):
+    matrix, expected = case
+    dense, sparse = _both_paths(matrix)
+    assert sparse == expected
+    assert dense == expected
+    assert invariant_factors(matrix) == (expected, len(expected))
+
+
+@pytest.mark.parametrize("name,space,ranks", [
+    ("B3", "M", [47, 376, 465]),
+    ("B3", "FQ", [46, 322]),
+])
+def test_pinned_sparse_boundary_ranks(name, space, ranks):
+    """Every sparse boundary of these tables has only unit invariant
+    factors; the ranks are those of the minimal-pivot elimination that
+    the unit-pivot elimination replaced."""
+    cx = build_complex(algebra_for(name), space)
+    sparse = [cx.matrices[d] for d in cx.degrees[1:]
+              if max(cx.matrices[d].rows, cx.matrices[d].cols) > DENSE_LIMIT]
+    results = [invariant_factors(m) for m in sparse]
+    assert [rank for _, rank in results] == ranks
+    assert all(set(factors) == {1} for factors, _ in results)
