@@ -9,15 +9,14 @@ Two elimination paths compute invariant factors:
   fill: a lazy min-heap of column counts yields the shortest column that
   holds a +-1 entry, and within it the +-1 entry of the shortest row.
   Clearing that column by row operations stays integral because the
-  pivot is a unit; the pivot row and column are then dropped, and the
-  columns the pivot row touched go back on the heap.  A column without a
-  unit waits until fill changes it.  Second, the core left when no unit
-  remains goes through a minimal-|v| reduction (least fill among equal
-  pivots) whose balanced remainders shrink the minimum absolute entry
-  monotonically, so the loop terminates.  Every boundary matrix of the
-  paper's tables checked so far leaves a core of at most a few hundred
-  nonzeros; most leave none (Dumas, Saunders and Villard, "On efficient
-  sparse integer matrix Smith normal form computations", 2001).
+  pivot is a unit; the pivot row and column are then dropped.  Second,
+  the core left when no unit remains goes through a minimal-|v|
+  reduction (least fill among equal pivots) whose balanced remainders
+  shrink the minimum absolute entry monotonically, so the loop
+  terminates.  Most boundaries of the bundled tables leave no core, the
+  rest a few hundred nonzeros, but fill can still make it large (Dumas,
+  Saunders and Villard, "On efficient sparse integer matrix Smith normal
+  form computations", 2001).
 
 Both end with a divisibility fixup (replace any non-dividing pair of
 non-unit diagonal entries by gcd and lcm) so the returned factors form
