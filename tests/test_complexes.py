@@ -1,5 +1,7 @@
 """The five chain complexes and the algebra differential."""
 
+import hashlib
+
 import pytest
 
 from conftest import algebra_for
@@ -170,3 +172,102 @@ def test_group_ring_squares_vanish(name):
 def test_fibre_boundary_support_is_reflections():
     assert fibre_support_is_reflections(algebra_for("A3"))
     assert fibre_support_is_reflections(algebra_for("B3"))
+
+
+# SHA-256 of (name, degrees, dims, labels, sorted entries) per complex, as
+# built by the per-space assemblers that preceded the single group-ring
+# assembly; any change to a basis, a label or an entry changes the digest.
+PINNED_DIGESTS = [
+    ("A2", "FP",
+     "4c05211bfbee5aff5ee9b0e1c8ec62ba3118408aac227b0595c4033be6c71fb8"),
+    ("A2", "FQ0",
+     "1a6faeec833b6201b8684a2dbeab8163bfc8cd6608559faab0c66012433537fe"),
+    ("A2", "FQ",
+     "06cf4950d35b9df12903c2bd53b00945c4f022089fe3006332d22e94e9a84feb"),
+    ("A2", "M",
+     "a0d1711d4e8ad5e346af2cf1676dbd52a8e51993e8d33edb287c7767f35ac3d8"),
+    ("A2", "MW",
+     "0a5f9896a60c39ada3cb52b8ca049a57eb45a0f32459cd88b3d812cbe55795da"),
+    ("A3", "FP",
+     "5930e6d521ba991b9a985a3a58378dc46b71d59fd1157a619e5dfd1702d5344c"),
+    ("A3", "FQ0",
+     "94bab4ad02cfea4349b364dfeef5249580de90e9992462db6060c72cb70de747"),
+    ("A3", "FQ",
+     "d06c181005e16c7d96fee86e7f48e0716677efe73ed63af82810591f03631fb3"),
+    ("A3", "M",
+     "d4beea899c56cc4770276bd93422180b409dec3513529943a1899214259958c2"),
+    ("A3", "MW",
+     "512a9b2641fc7fb8a6c7540c84a8925396b63af9d239b2d106c6e1f8a80f38c1"),
+    ("B2", "FP",
+     "fcb2dcb456d87a1907b91d22bbd2e1fac84b727a53198846be6ec2636c8840b0"),
+    ("B2", "FQ0",
+     "cd9b86ce61410450401e384256f18467c4aeba19f7a85f1ccc731b30a16b4077"),
+    ("B2", "FQ",
+     "27cdeed8f3c3308cc6ec347e38ea7bb660d6f649fb81a8a39a63538637d601c5"),
+    ("B2", "M",
+     "83219b21cbb7242066c28db19d14d784b04f1cbbd69cfc3ea1c7851013c9ed6d"),
+    ("B2", "MW",
+     "e02a05b919398212ad3bc9d55cd99da74d40bd86e7fe80ae58e7c473de3aaa9a"),
+    ("B3", "FP",
+     "acf13e79cacfef8a625b78fb6568a589218c957bcab3ffc16a2e7e6b53169337"),
+    ("B3", "FQ0",
+     "70221a0a6f4f1c94bcb7e078cda116652a4b9b87ddfdb2bca6fda471d856f9b9"),
+    ("B3", "FQ",
+     "5134d36f8637c6aa56fe31707805381595cf1eab6ed7e35269cc0985a32dc0e2"),
+    ("B3", "M",
+     "96bc28c919315ac45113c96626691baa7ccea7f5f9d7349bc3f444a21fd2f5ae"),
+    ("B3", "MW",
+     "668817598a5fc78d88ec6b5b66f461c5862cb31c6c7c7bb4e1ed9a829264b284"),
+    ("I2(5)", "FP",
+     "60e791bf165dd36d4e94008556c7fa3a139116501ef36cbec01d8414be8318ef"),
+    ("I2(5)", "FQ0",
+     "5fae46a75a2eaaa20110c7e9650b1348f363988a07399629711df46f17b117d5"),
+    ("I2(5)", "FQ",
+     "18c1fd61061e7212832d96ebb470cba8e95fb3db234982b31a39b3c6c34096bc"),
+    ("I2(5)", "M",
+     "72a1f19c96cb2ad23e16c7e67bca7a2e511aa1b4d21a025459760eef44b028ac"),
+    ("I2(5)", "MW",
+     "622d01abfacf1bb122258145fe78c5f84825df79579a50bfe0390fbbad746ff1"),
+    ("I2(6)", "FP",
+     "f19944aa35037e43992066149e61246561baa0867aa79f412ce18e260898ac61"),
+    ("I2(6)", "FQ0",
+     "2c4876e4cb93a9ebb8a8f57fe257d42e8455a675b8353e0f03d7ae6d5e4870a0"),
+    ("I2(6)", "FQ",
+     "62625ed02420be6a614a85c1a89ef2932123bcdca576b82abe7a02ca3562d788"),
+    ("I2(6)", "M",
+     "908df2f5eed54c702d9983837f968cfb993ca5dca53291f74fd476ed34ea85e0"),
+    ("I2(6)", "MW",
+     "3bb5f2e1bb2e8818919c3b67ac1e94046e18cb26146a29192f1444709bcd9546"),
+    ("D4", "FP",
+     "a6160945b8ecaa9110b42206255c1ec8183c22c64fc569ff1c91c9bafd24d0a5"),
+    ("D4", "FQ0",
+     "b49de3882fbb46d67b817dfb3b3d63f9a865bdc361549edecc038860fa707edd"),
+    ("D4", "MW",
+     "c9d4f93db222587b38feced63702115f35e492ccc8af799eebc02fa4887bf724"),
+    ("A4", "FP",
+     "35baf67a66c713443a0668cac0edac4818befd39b0dc3a1ddef294a101c52bb6"),
+    ("A4", "FQ0",
+     "b0bdf7070a825c46c3acebc7115a936686984deda10d4d1a8de82f2a341f0bfd"),
+    ("A4", "MW",
+     "655670664dff47f9f54be23dfc33efba96008d0dc74a15eb0dcdcb26862e021b"),
+    ("H3", "FP",
+     "6fa6af874c3ac989ee0d885e107aa0a109a36eecce4afcd42f05bc9c44b18805"),
+    ("H3", "FQ0",
+     "e61d9adecd65e1c2cad073367bda97eb8bd37e9c3e635af7efdd1e9bb5c23b6e"),
+    ("H3", "MW",
+     "984235ec7fe7d9945f24f91ec299dad68f503b53f16300f5301914aeebff1a2d"),
+]
+
+
+def _complex_digest(cx):
+    payload = (cx.name, tuple(cx.degrees),
+               tuple((k, cx.dims[k]) for k in cx.degrees),
+               tuple((k, cx.labels[k]) for k in cx.degrees),
+               tuple((k, tuple(sorted(cx.matrices[k].entries.items())))
+                     for k in cx.degrees[1:]))
+    return hashlib.sha256(repr(payload).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name,space,digest", PINNED_DIGESTS)
+def test_complex_matches_pinned_digest(name, space, digest):
+    assert _complex_digest(build_complex(algebra_for(name), space)) == digest
