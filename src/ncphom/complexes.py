@@ -3,27 +3,36 @@ group.
 
 Space tokens follow the command line:
 
-- ``FP``  quotient Milnor fibre; one cycle-basis column per chain degree
-  1..n, no group factor.
-- ``FQ``  Milnor fibre upstairs, all group elements tensored against the
+- ``FP``  quotient Milnor fibre: the cycle bases in chain degrees 1..n.
+- ``FQ``  Milnor fibre upstairs: every group element tensored against the
   cycle bases.
 - ``FQ0`` the connected fibre: the FQ columns whose group element has the
   parity of the chain degree.
-- ``M``   hyperplane complement, group elements tensored against the full
-  bases in chain degrees 0..n.
-- ``MW``  orbit space of M (Artin-group homology), the full bases alone.
+- ``M``   hyperplane complement: every group element tensored against the
+  full bases in chain degrees 0..n.
+- ``MW``  orbit space of M (Artin-group homology): the full bases alone.
 
-All boundary maps are assembled from two signed deletion operators on
-label sequences: the conjugating deletion (drop entry i, conjugate every
-earlier entry by it) and the plain deletion.  Coordinates of each deleted
-term are solved exactly in the target basis; both deletions of a reduced
-sequence stay reduced with product below the original element, so every
-term is individually resolvable.
+There is one boundary assembly.  ``group_ring_boundary`` applies the two
+signed deletion operators on label sequences, the conjugating deletion
+(drop entry i, conjugate every earlier entry by it) times the reflection
+t_i, and for M and MW minus the plain deletion times 1, and solves each
+deleted term exactly in the basis one degree down.  Both deletions of a
+reduced sequence stay reduced with product below the original element,
+so every term is individually resolvable.  The result is the boundary as
+a matrix over the integral group ring Z[W], keyed by basis positions.
 
-Group-tensored differentials only ever multiply the group slot on the
-right by single reflections.  ``group_ring_boundary`` exposes that form
-with formal group-ring entries, so the square-is-zero law can be checked
-for large groups without enumerating any elements.
+``build_complex`` then tensors it with one of three coefficient modules:
+
+- the trivial module Z, every element acting as 1 (FP, MW);
+- Z[W] with W acting by right multiplication (FQ, M);
+- the degree-parity half of Z[W], where the elements in chain degree k
+  have parity k mod 2; right multiplication by a reflection swaps the
+  halves (FQ0).
+
+The right action is tabulated once per degree for each element in the
+boundary's support, so the group is multiplied |W| times per reflection
+rather than once per matrix entry.  The group-ring form also lets the
+square-is-zero law be checked for groups too large to enumerate.
 """
 
 from __future__ import annotations
@@ -59,78 +68,107 @@ class ChainComplex:
                                      f"after boundary {d} is not zero")
 
 
+def _basis(algebra: ChainAlgebra, space: str, k: int):
+    """Cycle bases for the fibres, full bases for the complements."""
+    if space in ("FP", "FQ", "FQ0"):
+        return algebra.cycle_basis(k)
+    return algebra.full_basis(k)
+
+
+def group_ring_boundary(algebra: ChainAlgebra, space: str, k: int) -> dict:
+    """The degree-k boundary of a space as a matrix over the integral
+    group ring: {(row, col): {element: coeff}}, with row and col the
+    positions in the degree k - 1 and degree k bases of that space.
+
+    Columns of the group-tensored complexes (FQ, FQ0, M) multiply their
+    group slot on the right by these elements; FP and MW map every
+    element to 1.  No element is enumerated.
+    """
+    if space not in SPACES:
+        raise ValueError(f"unknown space {space!r}")
+    group = algebra.group
+    fibre = space in ("FP", "FQ", "FQ0")
+    coords_of = algebra.cycle_coords if fibre else algebra.chain_coords
+    # reflection positions index the elements; -1 stands for the identity
+    elements = group.reflection_keys + (group.identity,)
+    acc: dict = {}
+    for col, label in enumerate(_basis(algebra, space, k).labels):
+        for i in range(k):
+            sign = -1 if i % 2 else 1
+            t = label[i]
+            for row, c in coords_of(
+                    algebra.deleted_conjugate(label, i), k - 1).items():
+                key = (row, col, t)
+                acc[key] = acc.get(key, 0) + sign * c
+            if not fibre:
+                for row, c in coords_of(
+                        label[:i] + label[i + 1:], k - 1).items():
+                    key = (row, col, -1)
+                    acc[key] = acc.get(key, 0) - sign * c
+    entries: dict = {}
+    for (row, col, t), c in acc.items():
+        if c:
+            entries.setdefault((row, col), {})[elements[t]] = c
+    return entries
+
+
+def _coefficient_slots(group, space: str, degrees, cap):
+    """The group elements indexing the coefficient copies in each degree,
+    or None for the trivial module (FP, MW)."""
+    if space in ("FP", "MW"):
+        return None
+    elements = sorted(group.enumerate_elements(cap))
+    if space != "FQ0":
+        return {k: elements for k in degrees}
+    halves = ([w for w in elements if group.parity(w) == 0],
+              [w for w in elements if group.parity(w) == 1])
+    if len(halves[0]) != len(halves[1]):
+        raise RuntimeError(f"{group.ctype}: {len(halves[0])} even and "
+                           f"{len(halves[1])} odd elements")
+    return {k: halves[k % 2] for k in degrees}
+
+
 def build_complex(algebra: ChainAlgebra, space: str,
                   cap: int = DEFAULT_GROUP_CAP) -> ChainComplex:
-    if space == "FP":
-        return build_quotient_fibre(algebra)
-    if space == "FQ":
-        return build_fibre(algebra, restrict_parity=False, cap=cap)
-    if space == "FQ0":
-        return build_fibre(algebra, restrict_parity=True, cap=cap)
-    if space == "M":
-        return build_complement(algebra, cap=cap)
-    if space == "MW":
-        return build_orbit_complement(algebra)
-    raise ValueError(f"unknown space {space!r}")
-
-
-# -- complexes without a group factor ---------------------------------------
-
-def build_quotient_fibre(algebra: ChainAlgebra) -> ChainComplex:
-    """FP: cycle bases in chain degrees 1..n, conjugating deletions."""
-    n = algebra.group.rank
-    degrees = list(range(1, n + 1))
-    dims = {}
-    labels = {}
+    """The complex of one space: the group-ring boundary of every degree,
+    tensored with the space's coefficient module."""
+    if space not in SPACES:
+        raise ValueError(f"unknown space {space!r}")
+    group = algebra.group
+    low = 0 if space in ("M", "MW") else 1
+    degrees = list(range(low, group.rank + 1))
+    slots = _coefficient_slots(group, space, degrees, cap)
+    bases = {k: _basis(algebra, space, k).labels for k in degrees}
+    labels = bases if slots is None else {
+        k: tuple((wi, lab) for wi in range(len(slots[k])) for lab in bases[k])
+        for k in degrees}
+    dims = {k: len(labels[k]) for k in degrees}
     matrices = {}
-    for k in degrees:
-        basis = algebra.cycle_basis(k)
-        dims[k] = len(basis.labels)
-        labels[k] = basis.labels
-        if k == 1:
-            continue
+    for k in degrees[1:]:
+        width, prev_width = len(bases[k]), len(bases[k - 1])
+        if slots is not None:
+            index = {w: i for i, w in enumerate(slots[k - 1])}
+        # the right action of each element in the support, as the target
+        # slot of every slot of degree k
+        table: dict = {}
         matrix = BoundaryMatrix(dims[k - 1], dims[k])
-        for col, label in enumerate(basis.labels):
-            for i in range(k):
-                sign = -1 if i % 2 else 1
-                sub = algebra.deleted_conjugate(label, i)
-                for row, c in algebra.cycle_coords(sub, k - 1).items():
-                    matrix.set(row, col,
-                               matrix.entries.get((row, col), 0) + sign * c)
+        entries = matrix.entries
+        for (row, col), cell in group_ring_boundary(algebra, space,
+                                                    k).items():
+            for elem, c in cell.items():
+                targets = table.get(elem)
+                if targets is None:
+                    targets = table[elem] = [0] if slots is None else [
+                        index[group.multiply(w, elem)] for w in slots[k]]
+                for wi, target in enumerate(targets):
+                    key = (target * prev_width + row, wi * width + col)
+                    total = entries.get(key, 0) + c
+                    if total:
+                        entries[key] = total
+                    else:
+                        del entries[key]
         matrices[k] = matrix
-    return ChainComplex("FP", degrees, dims, matrices, labels)
-
-
-def build_orbit_complement(algebra: ChainAlgebra) -> ChainComplex:
-    """MW: full bases in chain degrees 0..n, both deletions."""
-    n = algebra.group.rank
-    degrees = list(range(n + 1))
-    dims = {}
-    labels = {}
-    matrices = {}
-    for k in degrees:
-        basis = algebra.full_basis(k)
-        dims[k] = len(basis.labels)
-        labels[k] = basis.labels
-        if k == 0:
-            continue
-        matrix = BoundaryMatrix(dims[k - 1], dims[k])
-        for col, label in enumerate(basis.labels):
-            acc: dict = {}
-            for i in range(k):
-                sign = -1 if i % 2 else 1
-                conj = algebra.chain_coords(
-                    algebra.deleted_conjugate(label, i), k - 1)
-                plain = algebra.chain_coords(
-                    label[:i] + label[i + 1:], k - 1)
-                for row, c in conj.items():
-                    acc[row] = acc.get(row, 0) + sign * c
-                for row, c in plain.items():
-                    acc[row] = acc.get(row, 0) - sign * c
-            for row, c in acc.items():
-                matrix.set(row, col, c)
-        matrices[k] = matrix
-    return ChainComplex("MW", degrees, dims, matrices, labels)
+    return ChainComplex(space, degrees, dims, matrices, labels)
 
 
 def build_algebra_complex(algebra: ChainAlgebra) -> ChainComplex:
@@ -161,168 +199,13 @@ def build_algebra_complex(algebra: ChainAlgebra) -> ChainComplex:
     return ChainComplex("B", degrees, dims, matrices, labels)
 
 
-# -- group-tensored complexes ------------------------------------------------
-
-def _sorted_elements(algebra: ChainAlgebra, cap):
-    return sorted(algebra.group.enumerate_elements(cap))
-
-
-def build_fibre(algebra: ChainAlgebra, restrict_parity: bool,
-                cap: int = DEFAULT_GROUP_CAP) -> ChainComplex:
-    """FQ (all elements) or FQ0 (elements matching the degree parity)
-    over the cycle bases in chain degrees 1..n."""
-    group = algebra.group
-    n = group.rank
-    elements = _sorted_elements(algebra, cap)
-    if restrict_parity:
-        split = {0: [w for w in elements if group.parity(w) == 0],
-                 1: [w for w in elements if group.parity(w) == 1]}
-        assert len(split[0]) == len(split[1]) == len(elements) // 2
-    degrees = list(range(1, n + 1))
-    dims = {}
-    labels = {}
-    matrices = {}
-    index_by_degree = {}
-    rows_of = {}
-    for k in degrees:
-        basis = algebra.cycle_basis(k)
-        rows = split[k % 2] if restrict_parity else elements
-        rows_of[k] = rows
-        index = {w: i for i, w in enumerate(rows)}
-        index_by_degree[k] = index
-        dims[k] = len(rows) * len(basis.labels)
-        labels[k] = tuple((wi, lab) for wi in range(len(rows))
-                          for lab in basis.labels)
-    for k in degrees[1:]:
-        basis = algebra.cycle_basis(k)
-        width = len(basis.labels)
-        prev_width = len(algebra.cycle_basis(k - 1).labels)
-        prev_index = index_by_degree[k - 1]
-        matrix = BoundaryMatrix(dims[k - 1], dims[k])
-        coords = [[(i, -1 if i % 2 else 1,
-                    group.reflection(label[i]),
-                    algebra.cycle_coords(
-                        algebra.deleted_conjugate(label, i), k - 1))
-                   for i in range(k)]
-                  for label in basis.labels]
-        for wi, w in enumerate(rows_of[k]):
-            base_col = wi * width
-            for pos, terms in enumerate(coords):
-                col = base_col + pos
-                for _, sign, t_elem, sub_coords in terms:
-                    target = prev_index[group.multiply(w, t_elem)]
-                    base_row = target * prev_width
-                    for row, c in sub_coords.items():
-                        key = (base_row + row, col)
-                        total = matrix.entries.get(key, 0) + sign * c
-                        if total:
-                            matrix.entries[key] = total
-                        else:
-                            matrix.entries.pop(key, None)
-        matrices[k] = matrix
-    name = "FQ0" if restrict_parity else "FQ"
-    return ChainComplex(name, degrees, dims, matrices, labels)
-
-
-def build_complement(algebra: ChainAlgebra,
-                     cap: int = DEFAULT_GROUP_CAP) -> ChainComplex:
-    """M: all group elements over the full bases in chain degrees 0..n."""
-    group = algebra.group
-    n = group.rank
-    elements = _sorted_elements(algebra, cap)
-    index = {w: i for i, w in enumerate(elements)}
-    order = len(elements)
-    degrees = list(range(n + 1))
-    dims = {}
-    labels = {}
-    matrices = {}
-    for k in degrees:
-        basis = algebra.full_basis(k)
-        dims[k] = order * len(basis.labels)
-        labels[k] = tuple((wi, lab) for wi in range(order)
-                          for lab in basis.labels)
-        if k == 0:
-            continue
-        width = len(basis.labels)
-        prev_width = len(algebra.full_basis(k - 1).labels)
-        matrix = BoundaryMatrix(dims[k - 1], dims[k])
-        coords = [[(-1 if i % 2 else 1,
-                    group.reflection(label[i]),
-                    algebra.chain_coords(
-                        algebra.deleted_conjugate(label, i), k - 1),
-                    algebra.chain_coords(label[:i] + label[i + 1:], k - 1))
-                   for i in range(k)]
-                  for label in basis.labels]
-        for wi, w in enumerate(elements):
-            base_col = wi * width
-            stay_row = wi * prev_width
-            for pos, terms in enumerate(coords):
-                col = base_col + pos
-                acc: dict = {}
-                for sign, t_elem, conj_coords, plain_coords in terms:
-                    move_row = index[group.multiply(w, t_elem)] * prev_width
-                    for row, c in conj_coords.items():
-                        key = move_row + row
-                        acc[key] = acc.get(key, 0) + sign * c
-                    for row, c in plain_coords.items():
-                        key = stay_row + row
-                        acc[key] = acc.get(key, 0) - sign * c
-                for row, c in acc.items():
-                    if c:
-                        matrix.entries[(row, col)] = c
-        matrices[k] = matrix
-    return ChainComplex("M", degrees, dims, matrices, labels)
-
-
-# -- formal group-ring form --------------------------------------------------
-
-def group_ring_boundary(algebra: ChainAlgebra, space: str, k: int) -> dict:
-    """The degree-k boundary of a group-tensored complex as a matrix over
-    the integral group ring: {(row_label, col_label): {element: coeff}}.
-
-    The group slot is always multiplied on the right, so this presents
-    the differential of FQ (equally FQ0) or M without any element
-    enumeration.
-    """
-    group = algebra.group
-    if space in ("FQ", "FQ0"):
-        basis = algebra.cycle_basis(k)
-        prev = algebra.cycle_basis(k - 1)
-        coords_of = algebra.cycle_coords
-        with_plain = False
-    elif space == "M":
-        basis = algebra.full_basis(k)
-        prev = algebra.full_basis(k - 1)
-        coords_of = algebra.chain_coords
-        with_plain = True
-    else:
-        raise ValueError(f"space {space!r} has no group factor")
-    identity = group.identity
-    entries: dict = {}
-    for label in basis.labels:
-        for i in range(len(label)):
-            sign = -1 if i % 2 else 1
-            t_elem = group.reflection(label[i])
-            for row, c in coords_of(
-                    algebra.deleted_conjugate(label, i), k - 1).items():
-                cell = entries.setdefault((prev.labels[row], label), {})
-                cell[t_elem] = cell.get(t_elem, 0) + sign * c
-            if with_plain:
-                for row, c in coords_of(
-                        label[:i] + label[i + 1:], k - 1).items():
-                    cell = entries.setdefault((prev.labels[row], label), {})
-                    cell[identity] = cell.get(identity, 0) - sign * c
-    for key in [key for key, cell in entries.items()
-                if not any(cell.values())]:
-        del entries[key]
-    return entries
-
+# -- group-ring checks ----------------------------------------------------
 
 def group_ring_square_is_zero(algebra: ChainAlgebra, space: str) -> bool:
     """Exact check of boundary-of-boundary = 0 in group-ring form."""
     group = algebra.group
     n = group.rank
-    low = 1 if space in ("FQ", "FQ0") else 0
+    low = 1 if space in ("FP", "FQ", "FQ0") else 0
     product_cache: dict = {}
 
     def times(a, b):
@@ -363,7 +246,6 @@ def fibre_support_is_reflections(algebra: ChainAlgebra) -> bool:
     reflections = set(group.reflection_keys)
     for k in range(2, group.rank + 1):
         for cell in group_ring_boundary(algebra, "FQ", k).values():
-            for elem, coeff in cell.items():
-                if coeff and elem not in reflections:
-                    return False
+            if not reflections.issuperset(cell):
+                return False
     return True

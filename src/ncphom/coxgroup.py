@@ -129,7 +129,6 @@ class CoxeterGroup:
         self._position_of = {key: k for k, key in enumerate(keys)}
         self._length_cache: dict = {self.identity: 0}
         self._inverse_cache: dict = {}
-        self._pair_product_cache: dict = {}
 
     @classmethod
     def from_name(cls, name: str) -> "CoxeterGroup":
@@ -188,16 +187,6 @@ class CoxeterGroup:
         """Position of t_i ^ t_j = t_j t_i t_j (0-based positions): the
         root of t_j t_i t_j is t_j(rho_i), up to sign."""
         return self.reflection_keys[j][i] % self.num_reflections
-
-    def reflection_product(self, i: int, j: int):
-        """Element t_i t_j (0-based positions), cached pairwise."""
-        key = (i, j)
-        cached = self._pair_product_cache.get(key)
-        if cached is None:
-            cached = self.multiply(self.reflection_keys[i],
-                                   self.reflection_keys[j])
-            self._pair_product_cache[key] = cached
-        return cached
 
     def sequence_product(self, positions):
         """Product of reflections given by 0-based positions, left to right."""

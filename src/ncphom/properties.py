@@ -65,6 +65,13 @@ def property_suite(type_name: str, seed: int = 0):
             yield (name, False, str(err) or "assertion failed")
 
 
+def _require(ok: bool, detail="") -> None:
+    """Fail the running check; an explicit raise, so it also runs under
+    ``python -O``."""
+    if not ok:
+        raise AssertionError(detail)
+
+
 def _random_sequences(algebra, rng, count, length):
     positions = range(algebra.group.num_reflections)
     return [tuple(rng.choice(positions) for _ in range(length))
@@ -80,19 +87,19 @@ def check_hurwitz_braid(algebra: ChainAlgebra, rng) -> str:
         a, b = 0, 2
         lhs = algebra.hurwitz_move(algebra.hurwitz_move(seq, a), b)
         rhs = algebra.hurwitz_move(algebra.hurwitz_move(seq, b), a)
-        assert lhs == rhs, ("commuting moves disagree", seq)
+        _require(lhs == rhs, ("commuting moves disagree", seq))
         i = rng.randrange(2)
         lhs = algebra.hurwitz_move(
             algebra.hurwitz_move(algebra.hurwitz_move(seq, i), i + 1), i)
         rhs = algebra.hurwitz_move(
             algebra.hurwitz_move(algebra.hurwitz_move(seq, i + 1), i), i + 1)
-        assert lhs == rhs, ("braid relation fails", seq, i)
+        _require(lhs == rhs, ("braid relation fails", seq, i))
         j = rng.randrange(3)
         back = algebra.hurwitz_move(algebra.hurwitz_move(seq, j), j,
                                     inverse=True)
-        assert back == seq, ("inverse does not cancel", seq, j)
-        assert (group.sequence_product(lhs) == group.sequence_product(seq)), (
-            "product moved", seq)
+        _require(back == seq, ("inverse does not cancel", seq, j))
+        _require(group.sequence_product(lhs) == group.sequence_product(seq),
+                 ("product moved", seq))
         trials += 1
     return f"{trials} random length-4 sequences"
 
@@ -103,7 +110,7 @@ def check_mobius_counts(algebra: ChainAlgebra, rng) -> str:
         mu = lat.mobius(vid)
         count = len(lat.decreasing_factorizations(vid))
         sign = -1 if lat.rank[vid] % 2 else 1
-        assert count == sign * mu, (lat.keys[vid], mu, count)
+        _require(count == sign * mu, (lat.keys[vid], mu, count))
     return f"all {lat.size} elements"
 
 
@@ -124,11 +131,11 @@ def check_increasing_chains(algebra: ChainAlgebra, rng) -> str:
     pairs = 0
     for vid in range(lat.size):
         for uid in lat.interval_ids(lat.identity_id, vid):
-            assert _increasing_chain_count(lat, uid, vid) == 1, (
-                "interval has several increasing chains", uid, vid)
+            _require(_increasing_chain_count(lat, uid, vid) == 1,
+                     ("interval has several increasing chains", uid, vid))
             chain = lat.increasing_chain(uid, vid)
-            assert all(a < b for a, b in zip(chain, chain[1:])), (
-                "greedy chain not increasing", uid, vid)
+            _require(all(a < b for a, b in zip(chain, chain[1:])),
+                     ("greedy chain not increasing", uid, vid))
             pairs += 1
     return f"{pairs} intervals"
 
@@ -142,11 +149,12 @@ def check_quadratic_relations(algebra: ChainAlgebra, rng) -> str:
         for j in range(n_t):
             product = algebra.reduced_product(algebra.generator(i),
                                               algebra.generator(j))
-            pair_elem = group.reflection_product(i, j)
+            pair_elem = group.multiply(group.reflection(i),
+                                       group.reflection(j))
             vid = lat.index.get(pair_elem)
             in_l2 = vid is not None and lat.rank[vid] == 2
             if i == j or not in_l2:
-                assert product == {}, ("pair should vanish", i, j)
+                _require(product == {}, ("pair should vanish", i, j))
                 zero_pairs += 1
     rank2 = lat.rank_row(2) if lat.n >= 2 else ()
     for vid in rank2:
@@ -155,7 +163,7 @@ def check_quadratic_relations(algebra: ChainAlgebra, rng) -> str:
             part = algebra.reduced_product(algebra.generator(s[0]),
                                            algebra.generator(s[1]))
             total = chain_sum((total, 1), (part, 1))
-        assert total == {}, ("rank-2 relation fails", lat.keys[vid])
+        _require(total == {}, ("rank-2 relation fails", lat.keys[vid]))
     return f"{zero_pairs} vanishing pairs, {len(rank2)} rank-2 sums"
 
 
@@ -164,8 +172,8 @@ def check_unitriangular(algebra: ChainAlgebra, rng) -> str:
     for k in range(algebra.group.rank + 1):
         basis = algebra.full_basis(k)
         for label, expansion in zip(basis.labels, basis.expansions):
-            assert max(expansion) == label, ("maximal key moved", label)
-            assert expansion[label] == 1, ("leading coefficient", label)
+            _require(max(expansion) == label, ("maximal key moved", label))
+            _require(expansion[label] == 1, ("leading coefficient", label))
             entries += 1
     return f"{entries} basis chains"
 
@@ -230,7 +238,7 @@ def check_span_equality(algebra: ChainAlgebra, rng) -> str:
 
         all_rows = _hermite_rows([row(s) for s in rex])
         dec_rows = _hermite_rows([row(s) for s in dec])
-        assert all_rows == dec_rows, ("row spaces differ", lat.keys[vid])
+        _require(all_rows == dec_rows, ("row spaces differ", lat.keys[vid]))
         compared += 1
     return f"{compared} elements compared"
 
@@ -239,12 +247,12 @@ def check_algebra_exact(algebra: ChainAlgebra, rng) -> str:
     complex_ = build_algebra_complex(algebra)
     complex_.check_square_zero()
     groups = homology_of(complex_)
-    assert all(h.is_trivial for h in groups), [str(h) for h in groups]
+    _require(all(h.is_trivial for h in groups), [str(h) for h in groups])
     lat = algebra.lat
     for k in complex_.degrees[1:]:
         expected = len(lat.rank_prefix_basis(k - 1))
         _, rank = invariant_factors(complex_.matrices[k])
-        assert rank == expected, ("differential rank", k, rank, expected)
+        _require(rank == expected, ("differential rank", k, rank, expected))
     return "acyclic with predicted differential ranks"
 
 
@@ -259,8 +267,8 @@ def check_boundary_squares(algebra: ChainAlgebra, rng) -> str:
             build_complex(algebra, space).check_square_zero()
             details.append(f"{space} materialized")
     else:
-        assert group_ring_square_is_zero(algebra, "FQ"), "FQ group-ring"
-        assert group_ring_square_is_zero(algebra, "M"), "M group-ring"
+        _require(group_ring_square_is_zero(algebra, "FQ"), "FQ group-ring")
+        _require(group_ring_square_is_zero(algebra, "M"), "M group-ring")
         details.append("FQ/FQ0/M in group-ring form")
     return ", ".join(details)
 
@@ -274,15 +282,16 @@ def check_fibre_doubling(algebra: ChainAlgebra, rng) -> str:
     one part being FQ0; left translation by any fixed odd element is a
     chain isomorphism between the two parts.  The code checks the
     support fact; small groups are also compared numerically."""
-    assert fibre_support_is_reflections(algebra), (
-        "boundary support is not reflections")
+    _require(fibre_support_is_reflections(algebra),
+             "boundary support is not reflections")
     order = algebra.group.ctype.group_order
     if order <= DOUBLING_LIMIT:
         full = homology_of(build_complex(algebra, "FQ"))
         half = homology_of(build_complex(algebra, "FQ0"))
-        assert len(full) == len(half)
+        _require(len(full) == len(half),
+                 ("degree counts", len(full), len(half)))
         for got, base in zip(full, half):
-            assert got == base.doubled(), (str(got), str(base))
+            _require(got == base.doubled(), (str(got), str(base)))
         return "support check + numeric comparison"
     return "support check (group too large to enumerate)"
 
@@ -311,7 +320,7 @@ def check_leibniz(algebra: ChainAlgebra, rng) -> str:
                  sign),
                 (algebra.reduced_product(algebra.alternating_chain(pre),
                                          algebra.interval_cycle(suf)), 1))
-            assert lhs == rhs, ("Leibniz fails", seq, i)
+            _require(lhs == rhs, ("Leibniz fails", seq, i))
             checked += 1
     return f"{checked} splits"
 
@@ -326,7 +335,7 @@ def check_poincare_ranks(algebra: ChainAlgebra, rng) -> str:
         k = lat.rank[vid]
         expected[k] += lat.mobius(vid) * (-1) ** k
     got = [len(algebra.full_basis(k).labels) for k in range(n + 1)]
-    assert got == expected, (got, expected)
+    _require(got == expected, (got, expected))
     return f"coefficients {got}"
 
 
@@ -336,6 +345,6 @@ def check_shuffle_associative(algebra: ChainAlgebra, rng) -> str:
         x, y, z = ({(p,): 1} for p in seq)
         left = algebra.shuffle_product(algebra.shuffle_product(x, y), z)
         right = algebra.shuffle_product(x, algebra.shuffle_product(y, z))
-        assert left == right, ("associativity fails", seq)
+        _require(left == right, ("associativity fails", seq))
         count += 1
     return f"{count} random triples"

@@ -230,3 +230,33 @@ def test_python_dash_m_runs_the_cli():
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "H0=Z H1=Z^2 H2=Z^2\n"
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_failed_invariant_reports_fail_under_optimize(flags):
+    """A failing check is reported as FAIL with and without ``python -O``:
+    the group-ring checks are patched to fail, and the boundary squares
+    are sent down the group-ring route even for A2."""
+    script = (
+        "import sys\n"
+        "import ncphom.properties as p\n"
+        "from ncphom.cli import main\n"
+        "p.group_ring_square_is_zero = lambda *args: False\n"
+        "p.fibre_support_is_reflections = lambda *args: False\n"
+        "p.MATERIALIZE_LIMIT = 0\n"
+        "print('optimize', sys.flags.optimize)\n"
+        "sys.exit(main(['verify', 'invariants', '--type', 'A2']))\n")
+    env = dict(os.environ, NCPHOM_WORKERS="1")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, *flags, "-c", script],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    lines = proc.stdout.splitlines()
+    assert lines[0] == f"optimize {len(flags)}"
+    assert proc.returncode == 1, proc.stderr
+    failed = [line.split(":")[0] for line in lines if line.startswith("FAIL")]
+    assert failed == ["FAIL invariants A2 boundary-squares-vanish",
+                      "FAIL invariants A2 fibre-doubling"]
+    assert lines[-1].endswith("2 failed, 0 skipped")

@@ -138,28 +138,43 @@ def test_algebra_complex_is_exact_with_pinned_ranks():
 
 
 def test_group_ring_boundary_matches_materialized_fibre():
-    """Entries of the symbolic boundary, specialized at each group
-    element, reproduce the materialized FQ matrix."""
-    algebra = algebra_for("A2")
+    """Entries of the symbolic boundary, keyed by basis positions and
+    specialized at each group element, reproduce the materialized FQ and
+    M matrices, with the identity terms of M in their column's own row
+    block; for FP and MW each matrix entry is the sum of its cell."""
+    algebra = algebra_for("A3")
     group = algebra.group
-    symbolic = group_ring_boundary(algebra, "FQ", 2)
-    cx = build_complex(algebra, "FQ")
     elements = sorted(group.enumerate_elements())
     index = {w: i for i, w in enumerate(elements)}
-    prev_labels = algebra.cycle_basis(1).labels
-    labels = algebra.cycle_basis(2).labels
-    rebuilt = {}
-    for (row_label, col_label), poly in symbolic.items():
-        r = prev_labels.index(row_label)
-        c = labels.index(col_label)
-        for wi, w in enumerate(elements):
-            for elem, coeff in poly.items():
-                target = index[group.multiply(w, elem)]
-                key = (target * len(prev_labels) + r,
-                       wi * len(labels) + c)
-                rebuilt[key] = rebuilt.get(key, 0) + coeff
-    rebuilt = {k: v for k, v in rebuilt.items() if v}
-    assert rebuilt == cx.matrices[2].entries
+    identity_cells = 0
+    for space, basis in (("FQ", algebra.cycle_basis),
+                         ("M", algebra.full_basis)):
+        cx = build_complex(algebra, space)
+        width = {k: len(basis(k).labels) for k in cx.degrees}
+        for k in cx.degrees[1:]:
+            entries = cx.matrices[k].entries
+            rebuilt = {}
+            for (r, c), poly in group_ring_boundary(algebra, space,
+                                                    k).items():
+                for wi, w in enumerate(elements):
+                    col = wi * width[k] + c
+                    for elem, coeff in poly.items():
+                        target = index[group.multiply(w, elem)]
+                        key = (target * width[k - 1] + r, col)
+                        rebuilt[key] = rebuilt.get(key, 0) + coeff
+                    if group.identity in poly:
+                        identity_cells += 1
+                        own = (wi * width[k - 1] + r, col)
+                        assert entries[own] == poly[group.identity]
+            assert {key: v for key, v in rebuilt.items() if v} == entries
+    assert identity_cells
+    for space in ("FP", "MW"):
+        cx = build_complex(algebra, space)
+        for k in cx.degrees[1:]:
+            summed = {key: sum(poly.values()) for key, poly in
+                      group_ring_boundary(algebra, space, k).items()}
+            assert {key: v for key, v in summed.items() if v} == (
+                cx.matrices[k].entries)
 
 
 @pytest.mark.parametrize("name", ["B3", "D4"])
