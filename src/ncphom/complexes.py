@@ -30,8 +30,8 @@ a matrix over the integral group ring Z[W], keyed by basis positions.
   halves (FQ0).
 
 The right action is tabulated once per degree for each element in the
-boundary's support, so the group is multiplied |W| times per reflection
-rather than once per matrix entry.  The group-ring form also lets the
+boundary's support, so the group is multiplied once per slot and support
+element rather than once per matrix entry.  The group-ring form also lets the
 square-is-zero law be checked for groups too large to enumerate.
 """
 
