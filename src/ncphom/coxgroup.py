@@ -5,11 +5,11 @@ ints: positions 0..N-1 are the positive roots rho_1..rho_N in the fixed
 reflection order, position N + k is -rho_{k+1}, and ``w[j]`` is the
 position of w(root j).  Products and inverses are index arithmetic.
 
-The simple reflections are permuted once at construction, from their
-ambient matrices (or, for I2(m), from the angles of its 2m roots).  The
-Coxeter element is their product over the color classes, and every other
-reflection is a gamma-conjugate along the root recurrence in ``rootsys``,
-so reflection k is the one that swaps rho_k and -rho_k.
+The simple reflections are permuted once at construction, as read off
+the root closure in ``rootsys`` (or, for I2(m), from the angles of its
+2m roots).  The Coxeter element is their product over the color classes,
+and every other reflection is a gamma-conjugate along the root
+recurrence, so reflection k is the one that swaps rho_k and -rho_k.
 
 Reflection length is the codimension of the fixed space, rank(w - I),
 worked out once per distinct element in exact integer arithmetic on the
@@ -21,10 +21,7 @@ I2(m) reads its lengths off the permutation: rotations have length 2.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .rootsys import CoxeterType, RootSystem
-from .scalars import GoldenNumber, integer_rank
 
 DEFAULT_GROUP_CAP = 52000
 
@@ -54,31 +51,6 @@ def _dihedral_simples(m: int):
                  for a in (0, m - 1))
 
 
-def _z_phi(x):
-    """x = a + b phi with integers a, b, for x in Q or Q(sqrt 5)."""
-    if isinstance(x, GoldenNumber):
-        a, b = x.a - x.b, 2 * x.b      # sqrt 5 = 2 phi - 1
-    else:
-        a, b = Fraction(x), Fraction(0)
-    if a.denominator != 1 or b.denominator != 1:
-        raise ValueError(f"root coordinate {x!r} is not in Z[phi]")
-    return int(a), int(b)
-
-
-def _coordinate_rows(coordinates):
-    """Integer rows of each positive root, in simple-root coordinates: one
-    row over Z, or the rows of r and phi*r over Z + Z phi (2n columns)."""
-    pairs = [[_z_phi(x) for x in root] for root in coordinates]
-    golden = any(b for root in pairs for _, b in root)
-    rows = []
-    for root in pairs:
-        a = [x for x, _ in root]
-        b = [y for _, y in root]
-        rows.append((a + b, b + [x + y for x, y in zip(a, b)])
-                    if golden else (a,))
-    return rows
-
-
 class CoxeterGroup:
     """Group operations for one admissible irreducible type."""
 
@@ -91,16 +63,10 @@ class CoxeterGroup:
             self._codim = self._rotation_codim
         else:
             rs = RootSystem(ctype)
-            roots = rs.ordered_roots + tuple(
-                tuple(-x for x in r) for r in rs.ordered_roots)
-            where = {r: k for k, r in enumerate(roots)}
-            simples = tuple(tuple(where[images[r]] for r in roots)
-                            for images in rs.simple_images)
+            simples = rs.simple_permutations
             classes = rs.color_classes
-            rows = _coordinate_rows(rs.root_coordinates)
-            self._rows = rows + [tuple([-x for x in row] for row in parts)
-                                 for parts in rows]
-            self._simple_positions = [where[r] for r in rs.simple_roots]
+            self._rows = rs.rows
+            self._simple_positions = rs.simple_positions
             self._codim = self._integer_codim
 
         self.num_reflections = total = len(simples[0]) // 2
@@ -110,6 +76,13 @@ class CoxeterGroup:
             for i in cls:
                 gamma = _compose(gamma, simples[i])
         self.gamma = gamma
+        power, order = gamma, 1
+        while power != self.identity and order <= ctype.coxeter_number:
+            power, order = _compose(power, gamma), order + 1
+        if order != ctype.coxeter_number:
+            raise RuntimeError(
+                f"{ctype}: the Coxeter element does not have order "
+                f"{ctype.coxeter_number}")
         gamma_inv = _invert(gamma)
 
         def conjugate(t):
@@ -126,7 +99,6 @@ class CoxeterGroup:
                     f"{ctype}: reflection {k + 1} does not negate root {k + 1}")
         self.reflection_keys = tuple(keys)
         self._simples = simples
-        self._position_of = {key: k for k, key in enumerate(keys)}
         self._length_cache: dict = {self.identity: 0}
         self._inverse_cache: dict = {}
 
@@ -179,10 +151,6 @@ class CoxeterGroup:
         """Element of the reflection at a 0-based position in the order."""
         return self.reflection_keys[position]
 
-    def reflection_position(self, element) -> int:
-        """0-based position of a reflection element; KeyError otherwise."""
-        return self._position_of[element]
-
     def conjugate_position(self, i: int, j: int) -> int:
         """Position of t_i ^ t_j = t_j t_i t_j (0-based positions): the
         root of t_j t_i t_j is t_j(rho_i), up to sign."""
@@ -222,3 +190,28 @@ class CoxeterGroup:
                 f"{self.ctype}: enumerated {len(seen)} elements, "
                 f"expected {order}")
         return list(seen)
+
+
+def integer_rank(rows) -> int:
+    """Rank over Q of an integer matrix, by fraction-free (Bareiss)
+    elimination: every entry stays an integer minor, so each division by
+    the previous pivot is exact."""
+    rows = [list(r) for r in rows]
+    rank, previous = 0, 1
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]),
+                     None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        pv = top[col]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col]
+            rows[r] = [(pv * x - f * y) // previous
+                       for x, y in zip(rows[r], top)]
+        previous = pv
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank

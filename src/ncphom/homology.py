@@ -52,16 +52,8 @@ class BoundaryMatrix:
         else:
             self.entries.pop((row, col), None)
 
-    def column(self, col: int):
-        return {r: v for (r, c), v in self.entries.items() if c == col}
-
     def is_zero(self) -> bool:
         return not self.entries
-
-    def transpose(self) -> "BoundaryMatrix":
-        return BoundaryMatrix(
-            self.cols, self.rows,
-            {(c, r): v for (r, c), v in self.entries.items()})
 
 
 def compose(a: BoundaryMatrix, b: BoundaryMatrix) -> BoundaryMatrix:

@@ -26,13 +26,20 @@ from __future__ import annotations
 from .coxgroup import CoxeterGroup
 
 
+def _require(ok, message: str) -> None:
+    """An answer check that still runs under ``python -O``."""
+    if not ok:
+        raise RuntimeError(message)
+
+
 class PartitionLattice:
     """The interval [identity, gamma] in absolute order, fully indexed."""
 
     def __init__(self, group: CoxeterGroup):
         self.group = group
         self.n = group.reflection_length(group.gamma)
-        assert self.n == group.ctype.rank
+        _require(self.n == group.ctype.rank,
+                 "the Coxeter element must have full reflection length")
 
         # downward closure from gamma
         rank_of = {group.gamma: self.n}
@@ -52,14 +59,16 @@ class PartitionLattice:
                         lower[u] = []
                         new.append(u)
             frontier = new
-        assert rank_of.get(group.identity) == 0
+        _require(rank_of.get(group.identity) == 0,
+                 "the downward closure must reach the identity")
 
         by_rank_keys = [[] for _ in range(self.n + 1)]
         for key, r in rank_of.items():
             by_rank_keys[r].append(key)
         for row in by_rank_keys:
             row.sort()
-        assert len(by_rank_keys[1]) == group.num_reflections
+        _require(len(by_rank_keys[1]) == group.num_reflections,
+                 "every reflection must be an atom")
 
         self.keys = [key for row in by_rank_keys for key in row]
         self.size = len(self.keys)
@@ -87,7 +96,8 @@ class PartitionLattice:
         for aid in self.by_rank[1]:
             (tpos, _), = [c for c in self.lower_covers[aid]]
             self.atom_of_label[tpos] = aid
-        assert len(self.atom_of_label) == group.num_reflections
+        _require(len(self.atom_of_label) == group.num_reflections,
+                 "every reflection must label exactly one atom")
 
         # leq bitsets, swept upward by rank
         bits = [0] * self.size
@@ -216,9 +226,9 @@ class PartitionLattice:
         seqs = []
         for wid in self.by_rank[k]:
             completion = self.increasing_chain(wid, self.gamma_id)
-            assert completion, "rank below top must reach gamma"
-            assert all(a < b for a, b in zip(completion, completion[1:])), (
-                "greedy completion must be increasing")
+            _require(completion, "rank below top must reach gamma")
+            _require(all(a < b for a, b in zip(completion, completion[1:])),
+                     "greedy completion must be increasing")
             first = completion[0]
             for prefix in self.decreasing_factorizations(wid):
                 if not prefix or prefix[-1] > first:

@@ -1,9 +1,18 @@
-"""Root systems, reflection orderings, and bipartite Coxeter elements.
+"""Root systems from Coxeter diagrams, in integer simple-root coordinates.
 
-A finite real reflection group is realized by the reflection matrices of its
-positive roots in a fixed ambient space.  The simple roots follow the standard
-coordinate realizations (documented in the README table); the icosahedral
-types derive their simple roots at build time from explicit unit-root lists.
+Each type is given by its diagram, with Bourbaki's node numbering
+(Lie Groups and Lie Algebras, Ch. VI, Plates I-IX; the README has a
+table) and, for H3 and H4, the 5-bond end first.  The diagram gives a
+Cartan matrix C[i][j] = <alpha_i, alpha_j^vee> with entries in
+Z[phi] = Z + Z phi, phi^2 = phi + 1: -1 on a simple bond, -2 and -1 on a
+4-bond (long row first), -phi on a 5-bond, 2 on the diagonal.  Closing
+the simple roots under
+
+    s_j(beta) = beta - <beta, alpha_j^vee> alpha_j
+
+gives every root as a tuple of 2n ints (a_1..a_n, b_1..b_n), meaning
+sum (a_i + b_i phi) alpha_i; the b half is zero except for H.  There is
+no ambient space and no field arithmetic.
 
 The construction fixes, once and for all:
 
@@ -24,13 +33,8 @@ The construction fixes, once and for all:
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
-from fractions import Fraction
-
-from .scalars import (GOLDEN_RATIO, GoldenNumber, dot, identity_matrix,
-                      mat_mul, mat_vec, solve_linear)
 
 COXETER_NUMBERS = {
     "A": lambda n: n + 1,
@@ -129,155 +133,48 @@ class CoxeterType:
 
 
 # ---------------------------------------------------------------------------
-# simple root realizations
+# diagrams and Cartan matrices
 
 
-def _simple_roots_crystallographic(ct: CoxeterType):
+def _diagram(ct: CoxeterType):
+    """Bonds (i, j, m) between 0-based nodes; on a 4-bond node i is long."""
     n = ct.rank
-    F = Fraction
+    path = [(i, i + 1, 3) for i in range(n - 1)]
     if ct.family == "A":
-        dim = n + 1
-        return [tuple(F(1) if j == i else F(-1) if j == i + 1 else F(0)
-                      for j in range(dim)) for i in range(n)]
+        return path
     if ct.family == "B":
-        simples = [tuple(F(1) if j == i else F(-1) if j == i + 1 else F(0)
-                         for j in range(n)) for i in range(n - 1)]
-        simples.append(tuple(F(1) if j == n - 1 else F(0) for j in range(n)))
-        return simples
+        return path[:-1] + [(n - 2, n - 1, 4)]
     if ct.family == "D":
-        simples = [tuple(F(1) if j == i else F(-1) if j == i + 1 else F(0)
-                         for j in range(n)) for i in range(n - 1)]
-        simples.append(tuple(F(1) if j >= n - 2 else F(0) for j in range(n)))
-        return simples
+        return path[:-1] + [(n - 3, n - 1, 3)]
     if ct.family == "E":
-        half = F(1, 2)
-        e8 = [tuple([half, -half, -half, -half, -half, -half, -half, half]),
-              tuple([F(1), F(1)] + [F(0)] * 6)]
-        for i in range(3, 9):
-            e8.append(tuple(F(1) if j == i - 2 else F(-1) if j == i - 3
-                            else F(0) for j in range(8)))
-        return e8[:n]
+        bonds = [(0, 2, 3), (1, 3, 3)] + [(i, i + 1, 3) for i in range(2, 7)]
+        return [(i, j, m) for i, j, m in bonds if j < n]
     if ct.family == "F":
-        half = F(1, 2)
-        return [
-            (F(0), F(1), F(-1), F(0)),
-            (F(0), F(0), F(1), F(-1)),
-            (F(0), F(0), F(0), F(1)),
-            (half, -half, -half, -half),
-        ]
-    raise AssertionError(ct.family)
+        return [(0, 1, 3), (1, 2, 4), (2, 3, 3)]
+    if ct.family == "H":
+        return [(0, 1, 5)] + path[1:]
+    raise ValueError(f"{ct} has no Coxeter diagram here")
 
 
-def _icosahedral_roots(rank: int):
-    """The full unit root lists for the icosahedral types."""
-    G = GoldenNumber
-    one, zero = G(1), G(0)
-    half = G(Fraction(1, 2))
-    phi = GOLDEN_RATIO
-    roots = set()
-    if rank == 3:
-        # cyclic permutations of (+-1, 0, 0) and of (1/2)(+-1, +-phi, +-(phi-1))
-        base = [one, zero, zero]
-        for shift in range(3):
-            vec = base[shift:] + base[:shift]
-            roots.add(tuple(vec))
-            roots.add(tuple(-x for x in vec))
-        comps = [half, half * phi, half * (phi - 1)]
-        for shift in range(3):
-            cyc = comps[shift:] + comps[:shift]
-            for signs in itertools.product((1, -1), repeat=3):
-                roots.add(tuple(x if s > 0 else -x
-                                for x, s in zip(cyc, signs)))
-        assert len(roots) == 30
-        return roots
-    # rank 4: unit icosians
-    for i in range(4):
-        for s in (one, -one):
-            roots.add(tuple(s if j == i else zero for j in range(4)))
-    for signs in itertools.product((1, -1), repeat=4):
-        roots.add(tuple(half if s > 0 else -half for s in signs))
-    comps = [zero, half, half * phi, half * (phi - 1)]
-    for perm in itertools.permutations(range(4)):
-        if _permutation_sign(perm) != 1:
-            continue
-        vec = [comps[p] for p in perm]
-        nonzero = [i for i in range(4) if vec[i] != 0]
-        for signs in itertools.product((1, -1), repeat=3):
-            out = list(vec)
-            for pos, s in zip(nonzero, signs):
-                if s < 0:
-                    out[pos] = -out[pos]
-            roots.add(tuple(out))
-    assert len(roots) == 120
-    return roots
+def _cartan(n: int, bonds):
+    """C[i][j] = <alpha_i, alpha_j^vee> as pairs (a, b) = a + b phi."""
+    off = {3: ((-1, 0), (-1, 0)), 4: ((-2, 0), (-1, 0)),
+           5: ((0, -1), (0, -1))}
+    cartan = [[(2, 0) if i == j else (0, 0) for j in range(n)]
+              for i in range(n)]
+    for i, j, m in bonds:
+        cartan[i][j], cartan[j][i] = off[m]
+    return cartan
 
 
-def _permutation_sign(perm) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
-
-
-def _lex_positive(vec) -> bool:
-    for x in vec:
-        if x != 0:
-            return x > 0
-    return False
-
-
-def _simple_roots_icosahedral(rank: int):
-    """Derive simple roots: lex-positive indecomposables, path-ordered with
-    the 5-bond endpoint first."""
-    roots = _icosahedral_roots(rank)
-    positives = [r for r in roots if _lex_positive(r)]
-    assert 2 * len(positives) == len(roots)
-    # a positive root is simple iff its reflection permutes the remaining
-    # positive roots (no additive criterion applies here: noncrystallographic
-    # positive systems are not closed under root addition)
-    identity = identity_matrix(len(positives[0]), GoldenNumber(1))
-    simples = []
-    for r in positives:
-        mat = reflection_matrix(r, identity)
-        if all(other == r or _lex_positive(mat_vec(mat, other))
-               for other in positives):
-            simples.append(r)
-    assert len(simples) == rank
-    # bond orders from inner products of unit roots: (a_i, a_j) = -cos(pi/m)
-    minus_cos5 = -(GOLDEN_RATIO / 2)
-    minus_cos3 = GoldenNumber(Fraction(-1, 2))
-    bonds = {}
-    for i in range(rank):
-        for j in range(i + 1, rank):
-            p = dot(simples[i], simples[j])
-            if p == 0:
-                continue
-            if p == minus_cos5:
-                bonds[(i, j)] = 5
-            elif p == minus_cos3:
-                bonds[(i, j)] = 3
-            else:
-                raise AssertionError(f"unexpected simple-root angle {p!r}")
-    adjacency = {i: [] for i in range(rank)}
-    for (i, j), m in bonds.items():
-        adjacency[i].append((j, m))
-        adjacency[j].append((i, m))
-    endpoints = [i for i in range(rank) if len(adjacency[i]) == 1]
-    start = next(i for i in endpoints if adjacency[i][0][1] == 5)
-    ordered = [start]
-    prev = None
-    while len(ordered) < rank:
-        nxt = next(j for j, _ in adjacency[ordered[-1]] if j != prev)
-        prev = ordered[-1]
-        ordered.append(nxt)
-    chain = [simples[i] for i in ordered]
-    expected_bonds = [5] + [3] * (rank - 2)
-    got = [bonds[tuple(sorted((ordered[k], ordered[k + 1])))]
-           for k in range(rank - 1)]
-    assert got == expected_bonds, got
-    return chain
+def _nonnegative(a: int, b: int) -> bool:
+    """a + b phi >= 0, exactly: 2(a + b phi) = (2a + b) + b sqrt 5."""
+    u = 2 * a + b
+    if u >= 0 and b >= 0:
+        return True
+    if u <= 0 and b <= 0:
+        return False
+    return (u * u > 5 * b * b) == (u > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -285,145 +182,114 @@ def _simple_roots_icosahedral(rank: int):
 
 
 class RootSystem:
-    """Positive roots, reflection matrices, and the fixed reflection order
-    for one matrix-realized type (everything except the dihedral family).
+    """Roots, simple-reflection permutations and the fixed reflection order
+    for one diagram type (everything except the dihedral family).
+
+    Positions 0..N-1 are rho_1..rho_N, position N + k is -rho_{k+1}.
     """
 
     def __init__(self, ctype: CoxeterType):
         if ctype.is_dihedral:
-            raise ValueError("dihedral types have no matrix realization")
+            raise ValueError("dihedral types have no diagram realization")
         self.ctype = ctype
         n = ctype.rank
-        if ctype.family == "H":
-            simples = _simple_roots_icosahedral(n)
-            one = GoldenNumber(1)
-        else:
-            simples = _simple_roots_crystallographic(ctype)
-            one = Fraction(1)
-        self.one = one
-        self.dim = len(simples[0])
-        self.simple_roots = tuple(simples)
-        self.identity = identity_matrix(self.dim, one)
-        self.simple_matrices = tuple(reflection_matrix(r, self.identity)
-                                     for r in simples)
+        total = ctype.num_reflections
+        bonds = _diagram(ctype)
+        self.cartan = _cartan(n, bonds)
+        simple_roots = [tuple(int(i == j) for j in range(2 * n))
+                        for i in range(n)]
+        images = self._close(simple_roots, 2 * total)
+        positives = {r for r in images[0]
+                     if all(_nonnegative(r[i], r[n + i]) for i in range(n))}
+        if len(images[0]) != 2 * total or len(positives) != total:
+            raise RuntimeError(
+                f"{ctype}: {len(images[0])} roots, {len(positives)} "
+                f"positive, expected {2 * total} and {total}")
 
-        all_roots = self._generate_roots()
-        gram = tuple(tuple(dot(a, b) for b in simples) for a in simples)
-        coordinates = {}   # positive root -> simple-root coordinates
-        for r in all_roots:
-            coeffs = solve_linear(gram, tuple(dot(r, a) for a in simples))
-            if all(c >= 0 for c in coeffs):
-                coordinates[r] = coeffs
-        positives = list(coordinates)
-        assert 2 * len(positives) == len(all_roots)
-        assert len(positives) == ctype.num_reflections, (
-            len(positives), ctype.num_reflections)
-        self._positive_set = set(positives)
+        self.color_classes = first, second = _bipartition(n, bonds)
 
-        self.color_classes = self._bipartition()
-        gamma = self.identity
-        for cls in self.color_classes:
-            for i in cls:
-                gamma = mat_mul(gamma, self.simple_matrices[i])
-        # matrices act on column vectors, so the product above applies the
-        # second color class first
-        self.coxeter_matrix_form = gamma
-        self.coxeter_order = self._matrix_order(gamma)
-        assert self.coxeter_order == ctype.coxeter_number, (
-            self.coxeter_order, ctype.coxeter_number)
+        def gamma(root):
+            for i in second + first:
+                root = images[i][root]
+            return root
 
-        self.ordered_roots = self._order_roots(gamma)
-        self.reflection_matrices = tuple(
-            reflection_matrix(r, self.identity) for r in self.ordered_roots)
-        self.root_coordinates = tuple(coordinates[r]
-                                      for r in self.ordered_roots)
-        self._root_to_position = {r: k for k, r in
-                                  enumerate(self.ordered_roots)}
+        rho = [simple_roots[i] for i in first]
+        rho += [tuple(-x for x in gamma(simple_roots[i])) for i in second]
+        while len(rho) < total:
+            rho.append(gamma(rho[-n]))
+        if len(set(rho)) != total or not positives.issuperset(rho):
+            raise RuntimeError(
+                f"{ctype}: the root recurrence does not list each positive "
+                "root once")
+        self.ordered_roots = tuple(rho)
 
-    # -- construction helpers ------------------------------------------------
+        roots = rho + [tuple(-x for x in r) for r in rho]
+        where = {r: k for k, r in enumerate(roots)}
+        self.simple_permutations = tuple(
+            tuple(where[image[r]] for r in roots) for image in images)
+        self.simple_positions = tuple(where[r] for r in simple_roots)
+        self.rows = tuple(_coordinate_rows(r, n, ctype.family == "H")
+                          for r in roots)
 
-    def _generate_roots(self):
-        """Close the simple roots under the simple reflections, recording
-        in ``simple_images[i][r]`` the image of every root r under s_i."""
-        self.simple_images = tuple({} for _ in self.simple_matrices)
-        roots = set(self.simple_roots)
-        frontier = list(self.simple_roots)
+    def _close(self, simple_roots, limit: int):
+        """Close the simple roots under the simple reflections; returns
+        ``images`` with ``images[j][r]`` = s_j(r) for every root r.  Stops
+        with RuntimeError past `limit` roots (a diagram of infinite type)."""
+        n = len(simple_roots)
+        columns = [[(i, a, b) for i, (a, b) in
+                    ((i, self.cartan[i][j]) for i in range(n)) if a or b]
+                   for j in range(n)]
+        images = tuple({} for _ in range(n))
+        seen = set(simple_roots)
+        frontier = list(simple_roots)
         while frontier:
             new = []
-            for r in frontier:
-                for m, images in zip(self.simple_matrices,
-                                     self.simple_images):
-                    img = images[r] = mat_vec(m, r)
-                    if img not in roots:
-                        roots.add(img)
+            for root in frontier:
+                for j, column in enumerate(columns):
+                    ka = kb = 0
+                    for i, p, q in column:
+                        a, b = root[i], root[n + i]
+                        ka += a * p + b * q
+                        kb += a * q + b * (p + q)
+                    img = list(root)
+                    img[j] -= ka
+                    img[n + j] -= kb
+                    img = images[j][root] = tuple(img)
+                    if img not in seen:
+                        seen.add(img)
                         new.append(img)
+            if len(seen) > limit:
+                raise RuntimeError(
+                    f"{self.ctype}: more than {limit} roots; the diagram "
+                    "is not of finite type")
             frontier = new
-        return roots
-
-    def _bipartition(self):
-        """Two-color the diagram by BFS; the class of node 0 comes first."""
-        n = self.ctype.rank
-        neighbors = {i: [] for i in range(n)}
-        for i in range(n):
-            for j in range(i + 1, n):
-                if dot(self.simple_roots[i], self.simple_roots[j]) != 0:
-                    neighbors[i].append(j)
-                    neighbors[j].append(i)
-        color = {0: 0}
-        queue = [0]
-        while queue:
-            i = queue.pop(0)
-            for j in neighbors[i]:
-                if j not in color:
-                    color[j] = 1 - color[i]
-                    queue.append(j)
-        assert len(color) == n, "diagram must be connected"
-        first = tuple(sorted(i for i in range(n) if color[i] == 0))
-        second = tuple(sorted(i for i in range(n) if color[i] == 1))
-        return (first, second)
-
-    def _matrix_order(self, m) -> int:
-        power = m
-        order = 1
-        while power != self.identity:
-            power = mat_mul(power, m)
-            order += 1
-            assert order <= 64, "runaway matrix order"
-        return order
-
-    def _order_roots(self, gamma):
-        """The root recurrence; enumerates each positive root exactly once."""
-        n = self.ctype.rank
-        first, second = self.color_classes
-        rho = [self.simple_roots[i] for i in first]
-        for i in second:
-            img = mat_vec(gamma, self.simple_roots[i])
-            rho.append(tuple(-x for x in img))
-        assert len(rho) == n
-        total = self.ctype.num_reflections
-        while len(rho) < total:
-            rho.append(mat_vec(gamma, rho[-n]))
-        for r in rho:
-            assert r in self._positive_set, r
-        assert len(set(rho)) == total
-        return tuple(rho)
-
-    # -- public surface ------------------------------------------------------
-
-    def conjugate_position(self, i: int, j: int) -> int:
-        """0-based position of t_i conjugated by t_j (both 0-based)."""
-        mj = self.reflection_matrices[j]
-        root = mat_vec(mj, self.ordered_roots[i])
-        pos = self._root_to_position.get(root)
-        if pos is None:
-            pos = self._root_to_position[tuple(-x for x in root)]
-        return pos
+        return images
 
 
-def reflection_matrix(root, identity):
-    """The ambient matrix of the reflection in `root`."""
-    norm = dot(root, root)
-    dim = len(root)
-    return tuple(tuple(identity[i][j] - 2 * root[i] * root[j] / norm
-                       for j in range(dim))
-                 for i in range(dim))
+def _bipartition(n: int, bonds):
+    """Two-color the diagram by BFS; the class of node 0 comes first."""
+    neighbors = {i: [] for i in range(n)}
+    for i, j, _ in bonds:
+        neighbors[i].append(j)
+        neighbors[j].append(i)
+    color = {0: 0}
+    queue = [0]
+    while queue:
+        i = queue.pop(0)
+        for j in neighbors[i]:
+            if j not in color:
+                color[j] = 1 - color[i]
+                queue.append(j)
+    if len(color) != n:
+        raise RuntimeError("the diagram is not connected")
+    return tuple(tuple(i for i in range(n) if color[i] == c) for c in (0, 1))
+
+
+def _coordinate_rows(root, n: int, golden: bool):
+    """Integer rows of a root for ranks over Z: its n coordinates, or for
+    H the rows of r and phi r over the basis alpha_i, phi alpha_i (2n
+    columns), since phi (a + b phi) = b + (a + b) phi."""
+    a, b = list(root[:n]), list(root[n:])
+    if not golden:
+        return (a,)
+    return (a + b, b + [x + y for x, y in zip(a, b)])

@@ -15,6 +15,10 @@ from ncphom.homology import invariant_factors
 SMALL = ("A2", "A3", "B2", "I2(5)")
 
 
+def _column(matrix, col):
+    return {r: v for (r, c), v in matrix.entries.items() if c == col}
+
+
 @pytest.mark.parametrize("name", SMALL)
 @pytest.mark.parametrize("space", ["FP", "FQ0", "FQ", "M", "MW"])
 def test_boundary_squares_to_zero(name, space):
@@ -50,7 +54,7 @@ def test_pinned_a3_quotient_fibre_top_boundary():
         (5, 4, 3): {(1, 0): 1},
     }
     for c, label in enumerate(cols):
-        got = {rows[r]: v for r, v in cx.matrices[3].column(c).items()}
+        got = {rows[r]: v for r, v in _column(cx.matrices[3], c).items()}
         assert got == expected_columns[label], label
 
 
@@ -92,7 +96,7 @@ def test_complement_boundary_in_degree_one():
     width = len(algebra.full_basis(1).labels)
     for wi, w in enumerate(elements):
         for tpos in range(width):
-            col = cx.matrices[1].column(wi * width + tpos)
+            col = _column(cx.matrices[1], wi * width + tpos)
             moved = index[group.multiply(w, group.reflection(tpos))]
             assert col == {moved: 1, wi: -1}
 
@@ -134,7 +138,7 @@ def test_algebra_complex_is_exact_with_pinned_ranks():
         1, 5, 5]
     assert all(h.is_trivial for h in homology_of(cx))
     ones = cx.matrices[1]
-    assert all(ones.column(c) == {0: 1} for c in range(cx.dims[1]))
+    assert all(_column(ones, c) == {0: 1} for c in range(cx.dims[1]))
 
 
 def test_group_ring_boundary_matches_materialized_fibre():

@@ -1,27 +1,28 @@
 """Group backends: length, order, conjugation, enumeration."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
 from conftest import group_for
 from ncphom import CoxeterGroup, GroupCapExceeded, PartitionLattice
 from ncphom.rootsys import CoxeterType, RootSystem
-from ncphom.scalars import mat_mul, mat_rank, mat_vec
+from test_scalars import _field_rank
 
 SMALL_TYPES = ("A1", "A2", "A3", "B2", "B3", "I2(3)", "I2(4)",
                "I2(5)", "I2(6)")
+DIAGRAM_TYPES = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "D3", "D4",
+                 "F4", "H3")
 
 
-def _bfs_reflection_lengths(group):
-    """Independent oracle: word length over the full reflection set."""
+def _bfs_word_lengths(group, generators):
+    """Independent oracle: word length over a generating set."""
     lengths = {group.identity: 0}
     frontier = [group.identity]
     while frontier:
         new = []
         for w in frontier:
-            for t in group.reflection_keys:
+            for t in generators:
                 img = group.multiply(w, t)
                 if img not in lengths:
                     lengths[img] = lengths[w] + 1
@@ -30,7 +31,12 @@ def _bfs_reflection_lengths(group):
     return lengths
 
 
-@pytest.mark.parametrize("name", SMALL_TYPES)
+def _bfs_reflection_lengths(group):
+    """Independent oracle: word length over the full reflection set."""
+    return _bfs_word_lengths(group, group.reflection_keys)
+
+
+@pytest.mark.parametrize("name", sorted(set(SMALL_TYPES + DIAGRAM_TYPES)))
 def test_length_equals_reflection_word_length(name):
     group = group_for(name)
     oracle = _bfs_reflection_lengths(group)
@@ -39,33 +45,17 @@ def test_length_equals_reflection_word_length(name):
         assert group.reflection_length(w) == expected
 
 
-def _det(matrix):
-    rows = [list(r) for r in matrix]
-    n = len(rows)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        pv = rows[col][col]
-        det *= pv
-        for r in range(col + 1, n):
-            if rows[r][col]:
-                f = rows[r][col] / pv
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-    return det
-
-
-@pytest.mark.parametrize("name", ["A3", "B3"])
+@pytest.mark.parametrize("name", ["A3", "B3", "D4", "H3"])
 def test_parity_is_the_determinant_sign(name):
-    group, _, matrix_of = _ambient_matrices(name)
-    assert len(matrix_of) == len(group.enumerate_elements())
-    for w in group.enumerate_elements():
-        expected = 0 if _det(matrix_of[w]) == 1 else 1
-        assert group.parity(w) == expected
+    """Each simple reflection has determinant -1, so det w is -1 to the
+    word length of w over the simple reflections."""
+    group = group_for(name)
+    simples = [group.reflection(p)
+               for p in RootSystem(group.ctype).simple_positions]
+    oracle = _bfs_word_lengths(group, simples)
+    assert len(oracle) == group.ctype.group_order
+    for w, length in oracle.items():
+        assert group.parity(w) == length % 2
 
 
 def test_absolute_order_basics():
@@ -98,7 +88,7 @@ def test_enumeration_closed_under_product():
             assert group.multiply(a, b) in elements
 
 
-@pytest.mark.parametrize("name", ["A3", "I2(7)"])
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "I2(7)"])
 def test_conjugate_position_matches_group_conjugation(name):
     group = group_for(name)
     rng = random.Random(9)
@@ -108,7 +98,7 @@ def test_conjugate_position_matches_group_conjugation(name):
         tj = group.reflection(j)
         conj = group.multiply(group.multiply(tj, group.reflection(i)), tj)
         assert group.reflection(group.conjugate_position(i, j)) == conj
-        assert group.reflection_position(conj) == group.conjugate_position(
+        assert group.reflection_keys.index(conj) == group.conjugate_position(
             i, j)
 
 
@@ -157,21 +147,46 @@ def test_crystallographic_dihedral_agreement():
 
 # -- differential checks against independent models -------------------------
 
-MATRIX_TYPES = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "D3", "D4",
-                "F4", "H3")
 DIHEDRAL_ORDERS = range(3, 13)
 
 
-def _ambient_matrices(name):
-    """Oracle: every element paired with its ambient matrix, by a BFS that
-    multiplies group keys and reflection matrices side by side."""
+def _reflect(cartan, j, v):
+    """Oracle: s_j(v) = v - <v, alpha_j^vee> alpha_j on a root-lattice
+    vector v = (a_1..a_n, b_1..b_n), meaning sum (a_i + b_i phi) alpha_i."""
+    n = len(cartan)
+    ka = sum(v[i] * cartan[i][j][0] + v[n + i] * cartan[i][j][1]
+             for i in range(n))
+    kb = sum(v[i] * cartan[i][j][1] + v[n + i] * sum(cartan[i][j])
+             for i in range(n))
+    out = list(v)
+    out[j] -= ka
+    out[n + j] -= kb
+    return tuple(out)
+
+
+def _mat_mul(a, b):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col))
+                       for col in zip(*b)) for row in a)
+
+
+def _mat_vec(m, v):
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
+
+
+def _simple_root_matrices(name):
+    """Oracle: every element paired with its matrix in the reflection
+    representation on the root lattice, in the basis alpha_i, phi alpha_i
+    (2n integer columns, the phi half zero outside H), by a BFS that
+    multiplies group keys and matrices side by side."""
     group = group_for(name)
     rs = RootSystem(group.ctype)
-    simple = set(rs.simple_roots)
-    gens = [(group.reflection(k), rs.reflection_matrices[k])
-            for k, root in enumerate(rs.ordered_roots) if root in simple]
-    assert len(gens) == group.rank
-    matrix_of = {group.identity: rs.identity}
+    size = 2 * group.rank
+    basis = [tuple(int(i == k) for k in range(size)) for i in range(size)]
+    gens = [(group.reflection(pos),
+             tuple(zip(*(_reflect(rs.cartan, j, e) for e in basis))))
+            for j, pos in enumerate(rs.simple_positions)]
+    identity = tuple(basis)
+    matrix_of = {group.identity: identity}
     frontier = list(matrix_of)
     while frontier:
         new = []
@@ -179,36 +194,49 @@ def _ambient_matrices(name):
             for key, mat in gens:
                 img = group.multiply(w, key)
                 if img not in matrix_of:
-                    matrix_of[img] = mat_mul(matrix_of[w], mat)
+                    matrix_of[img] = _mat_mul(matrix_of[w], mat)
                     new.append(img)
         frontier = new
-    return group, rs, matrix_of
+    return group, rs, matrix_of, identity
 
 
-@pytest.mark.parametrize("name", MATRIX_TYPES)
+@pytest.mark.parametrize("name", DIAGRAM_TYPES)
 def test_keys_multiply_like_ambient_matrices(name):
-    group, rs, matrix_of = _ambient_matrices(name)
+    group, rs, matrix_of, identity = _simple_root_matrices(name)
     assert len(matrix_of) == group.ctype.group_order
     assert len(set(matrix_of.values())) == len(matrix_of)
-    assert matrix_of[group.gamma] == rs.coxeter_matrix_form
-    for k, mat in enumerate(rs.reflection_matrices):
-        assert matrix_of[group.reflection(k)] == mat
-    # keys are the permutations the matrices induce on the 2N roots
     roots = rs.ordered_roots + tuple(tuple(-x for x in r)
                                      for r in rs.ordered_roots)
+    # keys are the permutations the matrices induce on the 2N roots
     where = {r: j for j, r in enumerate(roots)}
     for w, mat in matrix_of.items():
-        assert w == tuple(where[mat_vec(mat, r)] for r in roots)
+        assert w == tuple(where[_mat_vec(mat, r)] for r in roots)
+    for k, root in enumerate(rs.ordered_roots):
+        mat = matrix_of[group.reflection(k)]
+        assert _mat_vec(mat, root) == roots[k + group.num_reflections]
+        assert _mat_mul(mat, mat) == identity
     keys = list(matrix_of)
     rng = random.Random(5)
     for _ in range(300):
         a, b = rng.choice(keys), rng.choice(keys)
-        assert matrix_of[group.multiply(a, b)] == mat_mul(matrix_of[a],
-                                                          matrix_of[b])
-        assert matrix_of[group.inverse(a)] == tuple(zip(*matrix_of[a]))
+        assert matrix_of[group.multiply(a, b)] == _mat_mul(matrix_of[a],
+                                                           matrix_of[b])
+        assert _mat_mul(matrix_of[group.inverse(a)], matrix_of[a]) == identity
 
 
-@pytest.mark.parametrize("name", MATRIX_TYPES + ("H4", "E6"))
+@pytest.mark.parametrize("name", DIAGRAM_TYPES)
+def test_length_is_the_field_rank_of_m_minus_identity(name):
+    """Over the 2n columns alpha_i, phi alpha_i the rank of M - I over Q
+    is twice the codimension: [Q(phi) : Q] = 2 for H, and elsewhere the
+    phi half is a second copy of the first."""
+    group, _, matrix_of, identity = _simple_root_matrices(name)
+    for w, mat in matrix_of.items():
+        diff = [[x - y for x, y in zip(row, idrow)]
+                for row, idrow in zip(mat, identity)]
+        assert 2 * group.reflection_length(w) == _field_rank(diff)
+
+
+@pytest.mark.parametrize("name", DIAGRAM_TYPES + ("H4", "E6"))
 def test_reflection_k_swaps_its_root_and_its_negative(name):
     group = CoxeterGroup.from_name(name)
     total = group.num_reflections
@@ -217,15 +245,6 @@ def test_reflection_k_swaps_its_root_and_its_negative(name):
         assert t[k] == k + total and t[k + total] == k
         assert group.multiply(t, t) == group.identity
         assert group.reflection_length(t) == 1
-
-
-@pytest.mark.parametrize("name", MATRIX_TYPES)
-def test_length_is_the_field_rank_of_m_minus_identity(name):
-    group, rs, matrix_of = _ambient_matrices(name)
-    for w, mat in matrix_of.items():
-        diff = tuple(tuple(x - y for x, y in zip(row, idrow))
-                     for row, idrow in zip(mat, rs.identity))
-        assert group.reflection_length(w) == mat_rank(diff)
 
 
 def _symbolic_dihedral(m):

@@ -1,6 +1,11 @@
 """The noncrossing partition lattice: sizes, order, factorizations,
 chains, and Moebius values."""
 
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from conftest import lattice_for
@@ -157,3 +162,37 @@ def test_id_of_labels_and_contains():
     assert not lat.contains(crossing)
     with pytest.raises(KeyError):
         lat.id_of_labels((2, 5))
+
+
+def test_lattice_checks_raise_under_optimize():
+    """The lattice's answer checks are explicit raises, so ``python -O``
+    keeps them: a group whose Coxeter element is patched to the wrong
+    length, and a lattice whose greedy chains are patched to decrease."""
+    script = textwrap.dedent("""\
+        import sys
+        from ncphom import CoxeterGroup, PartitionLattice
+        print("optimize", sys.flags.optimize)
+        group = CoxeterGroup.from_name("A3")
+        length = group.reflection_length
+        group.reflection_length = lambda w: length(w) + (w == group.gamma)
+        try:
+            PartitionLattice(group)
+        except RuntimeError as err:
+            print("raised:", err)
+        lat = PartitionLattice(CoxeterGroup.from_name("A3"))
+        lat.increasing_chain = lambda uid, vid: (2, 1)
+        try:
+            lat.rank_prefix_basis(1)
+        except RuntimeError as err:
+            print("raised:", err)
+    """)
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-O", "-c", script],
+                         capture_output=True, text=True, timeout=60,
+                         env={"PYTHONPATH": str(src)})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "optimize 1",
+        "raised: the Coxeter element must have full reflection length",
+        "raised: greedy completion must be increasing",
+    ]

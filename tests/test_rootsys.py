@@ -4,8 +4,9 @@ import random
 
 import pytest
 
+from ncphom import rootsys
 from ncphom.rootsys import CoxeterType, RootSystem, TypeParseError
-from ncphom.scalars import mat_mul, mat_vec
+from test_coxgroup import _mat_mul, _simple_root_matrices
 
 
 def test_parse_accepts_every_admissible_family():
@@ -54,61 +55,116 @@ def test_numerology(name, reflections, order, coxnum):
 
 
 def test_a3_reflection_order_is_pinned():
-    """The root recurrence order everything downstream depends on."""
+    """The root recurrence order everything downstream depends on, in
+    simple-root coordinates (A3 has no golden half)."""
     rs = RootSystem(CoxeterType.parse("A3"))
-    assert rs.ordered_roots == (
-        (1, -1, 0, 0),
-        (0, 0, 1, -1),
-        (1, 0, 0, -1),
-        (0, 1, 0, -1),
-        (1, 0, -1, 0),
-        (0, 1, -1, 0),
-    )
+    assert [r[:3] for r in rs.ordered_roots] == [
+        (1, 0, 0),
+        (0, 0, 1),
+        (1, 1, 1),
+        (0, 1, 1),
+        (1, 1, 0),
+        (0, 1, 0),
+    ]
+    assert not any(any(r[3:]) for r in rs.ordered_roots)
     assert rs.color_classes == ((0, 2), (1,))
+
+
+def _compose(a, b):
+    return tuple(a[j] for j in b)
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "D4", "F4", "H3"])
 def test_root_system_consistency(name):
     ct = CoxeterType.parse(name)
     rs = RootSystem(ct)
-    assert len(rs.ordered_roots) == ct.num_reflections
-    assert len(set(rs.ordered_roots)) == ct.num_reflections
-    assert rs.coxeter_order == ct.coxeter_number
-    for m in rs.reflection_matrices:
-        assert mat_mul(m, m) == rs.identity
+    total = ct.num_reflections
+    assert len(rs.ordered_roots) == total
+    assert len(set(rs.ordered_roots)) == total
+    identity = tuple(range(2 * total))
+    gamma = identity
+    for cls in rs.color_classes:
+        for i in cls:
+            gamma = _compose(gamma, rs.simple_permutations[i])
+    order, power = 1, gamma
+    while power != identity:
+        order, power = order + 1, _compose(power, gamma)
+    assert order == ct.coxeter_number
+    for perm, pos in zip(rs.simple_permutations, rs.simple_positions):
+        assert _compose(perm, perm) == identity
+        assert perm[pos] == pos + total
+    width = 2 * ct.rank if ct.family == "H" else ct.rank
+    assert all(len(row) == width for parts in rs.rows for row in parts)
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
 def test_conjugate_position_matches_matrix_conjugation(name):
-    rs = RootSystem(CoxeterType.parse(name))
+    group, _, matrix_of, _ = _simple_root_matrices(name)
+    reflections = [matrix_of[t] for t in group.reflection_keys]
     rng = random.Random(3)
-    n = len(rs.reflection_matrices)
+    n = len(reflections)
     for _ in range(40):
         i, j = rng.randrange(n), rng.randrange(n)
-        mi, mj = rs.reflection_matrices[i], rs.reflection_matrices[j]
-        conj = mat_mul(mat_mul(mj, mi), mj)
-        assert rs.reflection_matrices[rs.conjugate_position(i, j)] == conj
+        mi, mj = reflections[i], reflections[j]
+        conj = _mat_mul(_mat_mul(mj, mi), mj)
+        assert reflections[group.conjugate_position(i, j)] == conj
 
 
 def test_bipartite_classes_are_orthogonal():
-    for name in ("A4", "B3", "H3"):
+    for name in ("A4", "B3", "E6", "H3"):
         rs = RootSystem(CoxeterType.parse(name))
         for cls in rs.color_classes:
             for i in cls:
                 for j in cls:
                     if i != j:
-                        ri = rs.simple_roots[i]
-                        rj = rs.simple_roots[j]
-                        assert sum((a * b for a, b in zip(ri, rj)),
-                                   0 * ri[0]) == 0
+                        assert rs.cartan[i][j] == (0, 0)
+
+
+def _reflect(rs, j, root):
+    """Oracle: s_j in simple-root coordinates over Z (no golden half)."""
+    pairing = sum(c * rs.cartan[i][j][0] for i, c in enumerate(root))
+    return tuple(c - pairing * (i == j) for i, c in enumerate(root))
 
 
 def test_gamma_rotates_the_root_recurrence():
-    rs = RootSystem(CoxeterType.parse("B3"))
-    gamma = rs.coxeter_matrix_form
+    for name in ("B3", "D5", "F4", "E6"):
+        rs = RootSystem(CoxeterType.parse(name))
+        n = rs.ctype.rank
+        first, second = rs.color_classes
+        roots = [r[:n] for r in rs.ordered_roots]
+        for k in range(n, len(roots)):
+            image = roots[k - n]
+            for j in second + first:
+                image = _reflect(rs, j, image)
+            assert roots[k] == image, (name, k)
+
+
+# Bourbaki, Lie Groups and Lie Algebras, Ch. VI, Plates II-VIII: the
+# highest root in simple-root coordinates pins the node numbering.
+HIGHEST_ROOTS = {
+    "A4": (1, 1, 1, 1), "B4": (1, 2, 2, 2), "D5": (1, 2, 2, 1, 1),
+    "E6": (1, 2, 2, 3, 2, 1), "E7": (2, 2, 3, 4, 3, 2, 1),
+    "E8": (2, 3, 4, 6, 5, 4, 3, 2), "F4": (2, 3, 4, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HIGHEST_ROOTS))
+def test_highest_root_follows_bourbaki_numbering(name):
+    rs = RootSystem(CoxeterType.parse(name))
     n = rs.ctype.rank
-    for k in range(n, len(rs.ordered_roots)):
-        assert rs.ordered_roots[k] == mat_vec(gamma, rs.ordered_roots[k - n])
+    assert max((r[:n] for r in rs.ordered_roots), key=sum) == HIGHEST_ROOTS[
+        name]
+
+
+@pytest.mark.parametrize("name,bonds", [
+    ("A3", [(0, 1, 3), (1, 2, 3), (0, 2, 3)]),  # a triangle: affine A2
+    ("H3", [(0, 1, 5), (1, 2, 4)]),             # infinite hyperbolic
+    ("A3", [(0, 1, 3), (1, 2, 4)]),             # finite, but B3 not A3
+])
+def test_wrong_diagram_raises_instead_of_hanging(monkeypatch, name, bonds):
+    monkeypatch.setattr(rootsys, "_diagram", lambda ct: bonds)
+    with pytest.raises(RuntimeError, match="roots"):
+        RootSystem(CoxeterType.parse(name))
 
 
 def test_dihedral_types_have_no_matrix_realization_here():
