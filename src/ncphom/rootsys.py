@@ -151,9 +151,7 @@ def _diagram(ct: CoxeterType):
         return [(i, j, m) for i, j, m in bonds if j < n]
     if ct.family == "F":
         return [(0, 1, 3), (1, 2, 4), (2, 3, 3)]
-    if ct.family == "H":
-        return [(0, 1, 5)] + path[1:]
-    raise ValueError(f"{ct} has no Coxeter diagram here")
+    return [(0, 1, 5)] + path[1:]  # H3, H4
 
 
 def _cartan(n: int, bonds):
@@ -236,9 +234,8 @@ class RootSystem:
         ``images`` with ``images[j][r]`` = s_j(r) for every root r.  Stops
         with RuntimeError past `limit` roots (a diagram of infinite type)."""
         n = len(simple_roots)
-        columns = [[(i, a, b) for i, (a, b) in
-                    ((i, self.cartan[i][j]) for i in range(n)) if a or b]
-                   for j in range(n)]
+        columns = [[(i,) + self.cartan[i][j] for i in range(n)
+                    if self.cartan[i][j] != (0, 0)] for j in range(n)]
         images = tuple({} for _ in range(n))
         seen = set(simple_roots)
         frontier = list(simple_roots)
