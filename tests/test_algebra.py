@@ -73,6 +73,25 @@ def test_chain_keys_stay_reduced_in_the_lattice():
                 assert algebra._reduced_lattice_id(key) is not None
 
 
+@pytest.mark.parametrize("name", ["A3", "B3", "H3"])
+def test_reduced_lattice_id_matches_the_product_rule(name):
+    """The lattice id of a sequence's product, kept only when its rank is
+    the sequence length, on random sequences reduced or not."""
+    algebra = algebra_for(name)
+    lat, group = algebra.lat, algebra.group
+    rng = random.Random(41)
+    hits = 0
+    for _ in range(500):
+        seq = tuple(rng.randrange(group.num_reflections)
+                    for _ in range(rng.randint(0, 4)))
+        vid = lat.index.get(group.sequence_product(seq))
+        if vid is not None and lat.rank[vid] != len(seq):
+            vid = None
+        assert algebra._reduced_lattice_id(seq) == vid
+        hits += vid is not None
+    assert 0 < hits < 500
+
+
 def simplicial_boundary_of_cycle(algebra, seq):
     """Push an interval cycle into the order complex of the open interval
     below product(seq) and take the augmented simplicial boundary."""

@@ -4,6 +4,7 @@ chains, and Moebius values."""
 import subprocess
 import sys
 import textwrap
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -56,6 +57,37 @@ def test_atoms_below_are_the_first_letters():
         firsts = sorted({seq[0] for seq in lat.reduced_factorizations(vid)
                          if seq})
         assert lat.atoms_below(vid) == firsts
+
+
+@pytest.mark.parametrize("name", ["B3", "D4", "F4", "H3"])
+def test_atoms_below_match_the_absolute_order(name):
+    """Atoms below v, read from the group's absolute order rather than
+    from the lattice's cover graph."""
+    lat = lattice_for(name)
+    group = lat.group
+    for vid, key in enumerate(lat.keys):
+        assert lat.atoms_below(vid) == [
+            t for t in range(group.num_reflections)
+            if group.absolute_leq(group.reflection(t), key)]
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "D4", "H3"])
+def test_factorizations_match_a_brute_force_grouping(name):
+    """Every reflection sequence of length rank(v), grouped by its
+    product: no cover edge of the lattice is consulted."""
+    lat = lattice_for(name)
+    group = lat.group
+    for k in range(lat.n + 1):
+        by_product = {}
+        for seq in product(range(group.num_reflections), repeat=k):
+            by_product.setdefault(group.sequence_product(seq),
+                                  []).append(seq)
+        for vid in lat.by_rank[k]:
+            rex = tuple(sorted(by_product[lat.keys[vid]]))
+            assert lat.reduced_factorizations(vid) == rex
+            assert lat.decreasing_factorizations(vid) == tuple(
+                seq for seq in rex
+                if all(a > b for a, b in zip(seq, seq[1:])))
 
 
 def test_reduced_factorization_counts_on_a3():
