@@ -18,8 +18,8 @@ positions) to nonzero integers.  The central constructions:
   product of two single-entry chains recovers alternating_chain of the pair,
 - ``reduced_product``: shuffle followed by projection onto keys that are
   reduced with product inside the lattice (the algebra multiplication),
-- ``coords_in_basis``: exact integer coordinates by lex-maximal-key peeling
-  against a unitriangular basis.
+- ``coords_in_basis``: exact sparse integer coordinates by
+  lex-maximal-key peeling against a unitriangular basis.
 """
 
 from __future__ import annotations
@@ -140,14 +140,18 @@ class ChainAlgebra:
 
     def _reduced_lattice_id(self, seq):
         """Lattice id of product(seq) when seq is reduced with product in
-        the lattice, else None."""
+        the lattice, else None: the end of the walk up the cover edges
+        labelled by seq, which exists exactly then, since every prefix of
+        a reduced factorization of v is below v."""
         memo = self._product_memo
         if seq in memo:
             return memo[seq]
-        product = self.group.sequence_product(seq)
-        vid = self.lat.index.get(product)
-        if vid is not None and self.lat.rank[vid] != len(seq):
-            vid = None
+        vid = self.lat.identity_id
+        for tpos in seq:
+            vid = next((wid for label, wid in self.lat.upper_covers[vid]
+                        if label == tpos), None)
+            if vid is None:
+                break
         memo[seq] = vid
         return vid
 
@@ -200,10 +204,8 @@ class ChainAlgebra:
         key = ("cycle", tuple(seq), degree)
         out = self._coords_memo.get(key)
         if out is None:
-            coords = self.coords_in_basis(self.interval_cycle(seq),
-                                          self.cycle_basis(degree))
-            out = {p: c for p, c in enumerate(coords) if c}
-            self._coords_memo[key] = out
+            out = self._coords_memo[key] = self.coords_in_basis(
+                self.interval_cycle(seq), self.cycle_basis(degree))
         return out
 
     def chain_coords(self, seq, degree: int):
@@ -212,16 +214,15 @@ class ChainAlgebra:
         key = ("chain", tuple(seq), degree)
         out = self._coords_memo.get(key)
         if out is None:
-            coords = self.coords_in_basis(self.alternating_chain(seq),
-                                          self.full_basis(degree))
-            out = {p: c for p, c in enumerate(coords) if c}
-            self._coords_memo[key] = out
+            out = self._coords_memo[key] = self.coords_in_basis(
+                self.alternating_chain(seq), self.full_basis(degree))
         return out
 
     def coords_in_basis(self, chain: Chain, basis: "GradedBasis"):
-        """Exact coordinates of a chain in a unitriangular basis."""
+        """Exact sparse coordinates {position: coeff} of a chain in a
+        unitriangular basis."""
         residual = dict(chain)
-        coords = [0] * len(basis.labels)
+        coords = {}
         while residual:
             key = max(residual)
             pos = basis.max_key_to_pos.get(key)

@@ -4,8 +4,8 @@ Two commands: ``homology`` computes one homology table and prints it in
 a stable text, JSON, or CSV form; ``verify`` recomputes reference rows
 and structural invariants and reports one line per check.
 
-Exit codes: 0 success, 1 verification mismatch, 2 argument, type parse
-or ``NCPHOM_WORKERS`` error, 3 group enumeration cap exceeded.
+Exit codes: 0 success, 1 verification mismatch, 2 argument, type parse,
+dump path or ``NCPHOM_WORKERS`` error, 3 group enumeration cap exceeded.
 
 ``NCPHOM_WORKERS`` sets how many verification tasks run in parallel
 (default: the machine's CPU count; 1 disables the process pool).
@@ -138,6 +138,10 @@ def cmd_homology(args) -> int:
     except TypeParseError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    if args.dump_basis is not None and not 0 <= args.dump_basis <= group.rank:
+        print(f"error: --dump-basis K must be in 0..{group.rank} for "
+              f"{group.ctype.name}, got {args.dump_basis}", file=sys.stderr)
+        return 2
     try:
         if args.dump_lattice:
             dump_lattice(lat, args.dump_lattice)
@@ -145,11 +149,14 @@ def cmd_homology(args) -> int:
             print(dump_basis(algebra, args.dump_basis))
             return 0
         complex_ = build_complex(algebra, args.space, cap=args.group_cap)
+        if args.dump_complex:
+            dump_complex(complex_, args.dump_complex)
     except GroupCapExceeded as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    if args.dump_complex:
-        dump_complex(complex_, args.dump_complex)
+    except OSError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     groups = homology_of(complex_)
     if args.format == "text":
         print(format_text(groups))

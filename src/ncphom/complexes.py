@@ -19,7 +19,10 @@ t_i, and for M and MW minus the plain deletion times 1, and solves each
 deleted term exactly in the basis one degree down.  Both deletions of a
 reduced sequence stay reduced with product below the original element,
 so every term is individually resolvable.  The result is the boundary as
-a matrix over the integral group ring Z[W], keyed by basis positions.
+a matrix over the integral group ring Z[W]: one integer per (row, col, t),
+with row and col basis positions and t the reflection position of the
+group element, or -1 for the identity.  Only Z[W] coefficients turn t
+into an element.
 
 ``build_complex`` then tensors it with one of three coefficient modules:
 
@@ -29,7 +32,7 @@ a matrix over the integral group ring Z[W], keyed by basis positions.
   have parity k mod 2; right multiplication by a reflection swaps the
   halves (FQ0).
 
-The right action is tabulated once per degree for each element in the
+The right action is tabulated once per degree for each t in the
 boundary's support, so the group is multiplied once per slot and support
 element rather than once per matrix entry.  The group-ring form also lets the
 square-is-zero law be checked for groups too large to enumerate.
@@ -77,8 +80,10 @@ def _basis(algebra: ChainAlgebra, space: str, k: int):
 
 def group_ring_boundary(algebra: ChainAlgebra, space: str, k: int) -> dict:
     """The degree-k boundary of a space as a matrix over the integral
-    group ring: {(row, col): {element: coeff}}, with row and col the
-    positions in the degree k - 1 and degree k bases of that space.
+    group ring: {(row, col, t): coeff}, nonzero coefficients only, with
+    row and col the positions in the degree k - 1 and degree k bases of
+    that space and t the reflection position of the group element, or -1
+    for the identity.
 
     Columns of the group-tensored complexes (FQ, FQ0, M) multiply their
     group slot on the right by these elements; FP and MW map every
@@ -86,11 +91,8 @@ def group_ring_boundary(algebra: ChainAlgebra, space: str, k: int) -> dict:
     """
     if space not in SPACES:
         raise ValueError(f"unknown space {space!r}")
-    group = algebra.group
     fibre = space in ("FP", "FQ", "FQ0")
     coords_of = algebra.cycle_coords if fibre else algebra.chain_coords
-    # reflection positions index the elements; -1 stands for the identity
-    elements = group.reflection_keys + (group.identity,)
     acc: dict = {}
     for col, label in enumerate(_basis(algebra, space, k).labels):
         for i in range(k):
@@ -105,11 +107,7 @@ def group_ring_boundary(algebra: ChainAlgebra, space: str, k: int) -> dict:
                         label[:i] + label[i + 1:], k - 1).items():
                     key = (row, col, -1)
                     acc[key] = acc.get(key, 0) - sign * c
-    entries: dict = {}
-    for (row, col, t), c in acc.items():
-        if c:
-            entries.setdefault((row, col), {})[elements[t]] = c
-    return entries
+    return {key: c for key, c in acc.items() if c}
 
 
 def _coefficient_slots(group, space: str, degrees, cap):
@@ -138,6 +136,7 @@ def build_complex(algebra: ChainAlgebra, space: str,
     low = 0 if space in ("M", "MW") else 1
     degrees = list(range(low, group.rank + 1))
     slots = _coefficient_slots(group, space, degrees, cap)
+    elements = group.reflection_keys + (group.identity,)  # t = -1: identity
     bases = {k: _basis(algebra, space, k).labels for k in degrees}
     labels = bases if slots is None else {
         k: tuple((wi, lab) for wi in range(len(slots[k])) for lab in bases[k])
@@ -153,20 +152,19 @@ def build_complex(algebra: ChainAlgebra, space: str,
         table: dict = {}
         matrix = BoundaryMatrix(dims[k - 1], dims[k])
         entries = matrix.entries
-        for (row, col), cell in group_ring_boundary(algebra, space,
+        for (row, col, t), c in group_ring_boundary(algebra, space,
                                                     k).items():
-            for elem, c in cell.items():
-                targets = table.get(elem)
-                if targets is None:
-                    targets = table[elem] = [0] if slots is None else [
-                        index[group.multiply(w, elem)] for w in slots[k]]
-                for wi, target in enumerate(targets):
-                    key = (target * prev_width + row, wi * width + col)
-                    total = entries.get(key, 0) + c
-                    if total:
-                        entries[key] = total
-                    else:
-                        del entries[key]
+            targets = table.get(t)
+            if targets is None:
+                targets = table[t] = [0] if slots is None else [
+                    index[group.multiply(w, elements[t])] for w in slots[k]]
+            for wi, target in enumerate(targets):
+                key = (target * prev_width + row, wi * width + col)
+                total = entries.get(key, 0) + c
+                if total:
+                    entries[key] = total
+                else:
+                    del entries[key]
         matrices[k] = matrix
     return ChainComplex(space, degrees, dims, matrices, labels)
 
@@ -190,11 +188,9 @@ def build_algebra_complex(algebra: ChainAlgebra) -> ChainComplex:
         below = algebra.full_basis(k - 1)
         matrix = BoundaryMatrix(dims[k - 1], dims[k])
         for col, label in enumerate(basis.labels):
-            coords = algebra.coords_in_basis(algebra.interval_cycle(label),
-                                             below)
-            for row, c in enumerate(coords):
-                if c:
-                    matrix.set(row, col, c)
+            for row, c in algebra.coords_in_basis(
+                    algebra.interval_cycle(label), below).items():
+                matrix.set(row, col, c)
         matrices[k] = matrix
     return ChainComplex("B", degrees, dims, matrices, labels)
 
@@ -204,48 +200,37 @@ def build_algebra_complex(algebra: ChainAlgebra) -> ChainComplex:
 def group_ring_square_is_zero(algebra: ChainAlgebra, space: str) -> bool:
     """Exact check of boundary-of-boundary = 0 in group-ring form."""
     group = algebra.group
-    n = group.rank
+    elements = group.reflection_keys + (group.identity,)  # t = -1: identity
     low = 1 if space in ("FP", "FQ", "FQ0") else 0
     product_cache: dict = {}
-
-    def times(a, b):
-        key = (a, b)
-        out = product_cache.get(key)
-        if out is None:
-            out = group.multiply(a, b)
-            product_cache[key] = out
-        return out
-
-    for k in range(low + 2, n + 1):
-        upper = group_ring_boundary(algebra, space, k)
-        lower = group_ring_boundary(algebra, space, k - 1)
+    for k in range(low + 2, group.rank + 1):
         by_mid: dict = {}
-        for (r, mid), cell in lower.items():
-            by_mid.setdefault(mid, []).append((r, cell))
+        for (r, mid, t_low), c_low in group_ring_boundary(
+                algebra, space, k - 1).items():
+            by_mid.setdefault(mid, []).append((r, t_low, c_low))
         square: dict = {}
-        for (mid, c), upper_cell in upper.items():
-            for r, lower_cell in by_mid.get(mid, ()):
-                store = square.setdefault((r, c), {})
-                for e_up, c_up in upper_cell.items():
-                    for e_low, c_low in lower_cell.items():
-                        elem = times(e_up, e_low)
-                        store[elem] = store.get(elem, 0) + c_up * c_low
-        if any(any(cell.values()) for cell in square.values()):
+        for (mid, c, t_up), c_up in group_ring_boundary(algebra, space,
+                                                         k).items():
+            for r, t_low, c_low in by_mid.get(mid, ()):
+                elem = product_cache.get((t_up, t_low))
+                if elem is None:
+                    elem = product_cache[t_up, t_low] = group.multiply(
+                        elements[t_up], elements[t_low])
+                key = (r, c, elem)
+                square[key] = square.get(key, 0) + c_up * c_low
+        if any(square.values()):
             return False
     return True
 
 
 def fibre_support_is_reflections(algebra: ChainAlgebra) -> bool:
-    """Every group element in the formal FQ boundary is one reflection.
+    """Every group element in the formal FQ boundary is one reflection:
+    no term has the identity, t = -1.
 
     Together with right multiplication this shows the degree-parity
     restriction is a subcomplex and that left translation by any odd
     element matches the two parity blocks, so FQ computes the FQ0 answer
     doubled."""
-    group = algebra.group
-    reflections = set(group.reflection_keys)
-    for k in range(2, group.rank + 1):
-        for cell in group_ring_boundary(algebra, "FQ", k).values():
-            if not reflections.issuperset(cell):
-                return False
-    return True
+    return all(t >= 0
+               for k in range(2, algebra.group.rank + 1)
+               for _, _, t in group_ring_boundary(algebra, "FQ", k))

@@ -10,8 +10,11 @@ order data is then derived combinatorially:
   sweep over cover edges, making every leq test O(1),
 - cover labels: the edge u < v carries the reflection u^{-1} v, which for the
   closure edge u = v t is t itself,
-- reduced and decreasing factorization enumeration by memoized first-letter
-  peeling (the first letters of w are the atoms below w),
+- the reflections below v, which are exactly the labels of its lower covers:
+  t <= v when l(v t) = l(v) - 1, since t v = t (v t) t has the length of v t,
+- reduced and decreasing factorization enumeration by memoized last-letter
+  peeling: the reduced factorizations of v ending in t are those of u
+  followed by t, for the lower cover (t, u) of v,
 - the unique increasing maximal chain of any interval by greedy least-label
   steps (its uniqueness is a property test, not an assumption of the code),
 - Moebius values by recursion over the bitsets.
@@ -92,11 +95,9 @@ class PartitionLattice:
         for row in self.upper_covers:
             row.sort()
 
-        self.atom_of_label = {}
-        for aid in self.by_rank[1]:
-            (tpos, _), = [c for c in self.lower_covers[aid]]
-            self.atom_of_label[tpos] = aid
-        _require(len(self.atom_of_label) == group.num_reflections,
+        _require(sorted(tpos for aid in self.by_rank[1]
+                        for tpos, _ in self.lower_covers[aid])
+                 == list(range(group.num_reflections)),
                  "every reflection must label exactly one atom")
 
         # leq bitsets, swept upward by rank
@@ -137,8 +138,7 @@ class PartitionLattice:
 
     def atoms_below(self, vid: int):
         """Labels (reflection positions) of the atoms below v, ascending."""
-        return sorted(tpos for tpos, aid in self.atom_of_label.items()
-                      if self.leq(aid, vid))
+        return [tpos for tpos, _ in self.lower_covers[vid]]
 
     # -- factorizations ------------------------------------------------------
 
@@ -151,41 +151,27 @@ class PartitionLattice:
         if vid == self.identity_id:
             out = ((),)
         else:
-            seqs = []
-            key = self.keys[vid]
-            for tpos in self.atoms_below(vid):
-                rest_key = self.group.multiply(self.group.reflection(tpos),
-                                               key)
-                rest_id = self.index[rest_key]
-                for rest in self.reduced_factorizations(rest_id):
-                    seqs.append((tpos,) + rest)
-            out = tuple(seqs)
+            out = tuple(sorted(rest + (tpos,)
+                               for tpos, uid in self.lower_covers[vid]
+                               for rest in self.reduced_factorizations(uid)))
         memo[vid] = out
         return out
 
-    def decreasing_factorizations(self, vid: int, bound: int | None = None):
-        """Strictly decreasing reduced factorizations (entries < bound)."""
-        if bound is None:
-            bound = self.group.num_reflections
+    def decreasing_factorizations(self, vid: int, floor: int = -1):
+        """Strictly decreasing reduced factorizations (entries > floor),
+        lex order."""
         memo = self._dec_memo
-        state = (vid, bound)
+        state = (vid, floor)
         out = memo.get(state)
         if out is not None:
             return out
         if vid == self.identity_id:
             out = ((),)
         else:
-            seqs = []
-            key = self.keys[vid]
-            for tpos in self.atoms_below(vid):
-                if tpos >= bound:
-                    continue
-                rest_key = self.group.multiply(self.group.reflection(tpos),
-                                               key)
-                rest_id = self.index[rest_key]
-                for rest in self.decreasing_factorizations(rest_id, tpos):
-                    seqs.append((tpos,) + rest)
-            out = tuple(sorted(seqs))
+            out = tuple(sorted(
+                rest + (tpos,)
+                for tpos, uid in self.lower_covers[vid] if tpos > floor
+                for rest in self.decreasing_factorizations(uid, tpos)))
         memo[state] = out
         return out
 
@@ -251,12 +237,3 @@ class PartitionLattice:
                 mob[wid] = -below
             self._mobius = mob
         return self._mobius[vid]
-
-    # -- products ------------------------------------------------------------
-
-    def id_of_labels(self, labels) -> int:
-        """Lattice id of the product of the labelled reflections."""
-        return self.index[self.group.sequence_product(labels)]
-
-    def contains(self, key) -> bool:
-        return key in self.index

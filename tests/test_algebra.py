@@ -257,7 +257,8 @@ def test_coords_round_trip_in_full_bases():
             chain = {}
             for c, expansion in zip(coeffs, basis.expansions):
                 chain = chain_sum((chain, 1), (expansion, c))
-            assert algebra.coords_in_basis(chain, basis) == coeffs
+            assert algebra.coords_in_basis(chain, basis) == {
+                p: c for p, c in enumerate(coeffs) if c}
 
 
 def test_coords_reject_chains_outside_the_span():
@@ -267,17 +268,18 @@ def test_coords_reject_chains_outside_the_span():
 
 
 def test_sparse_coordinate_wrappers_agree():
+    """Each wrapper's nonzero coordinates, times the basis expansions,
+    sum back to the chain it was given."""
     algebra = algebra_for("A3")
     lat = algebra.lat
-    for vid in lat.rank_row(2):
-        for seq in lat.reduced_factorizations(vid):
-            dense = algebra.coords_in_basis(algebra.alternating_chain(seq),
-                                            algebra.full_basis(2))
-            sparse = algebra.chain_coords(seq, 2)
-            assert sparse == {p: c for p, c in enumerate(dense) if c}
-    gamma_seqs = lat.reduced_factorizations(lat.gamma_id)
-    for seq in gamma_seqs:
-        dense = algebra.coords_in_basis(algebra.interval_cycle(seq),
-                                        algebra.cycle_basis(3))
-        assert algebra.cycle_coords(seq, 3) == {
-            p: c for p, c in enumerate(dense) if c}
+    cases = [(algebra.chain_coords(seq, 2), algebra.full_basis(2),
+              algebra.alternating_chain(seq))
+             for vid in lat.rank_row(2)
+             for seq in lat.reduced_factorizations(vid)]
+    cases += [(algebra.cycle_coords(seq, 3), algebra.cycle_basis(3),
+               algebra.interval_cycle(seq))
+              for seq in lat.reduced_factorizations(lat.gamma_id)]
+    for coords, basis, chain in cases:
+        assert coords and all(coords.values())
+        assert chain_sum(*((basis.expansions[p], c)
+                           for p, c in coords.items())) == chain

@@ -136,6 +136,34 @@ def test_dump_complex_writes_matrices(capsys, tmp_path):
     assert sorted(os.listdir(outdir)) == ["bases.json", "boundary_2.json"]
 
 
+@pytest.mark.parametrize("k", ["9", "-1"])
+def test_dump_basis_degree_out_of_range_exits_2(capsys, k):
+    code, out, err = run(capsys, "homology", "A3", "FP", "--dump-basis", k)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "0..3" in err
+    assert "Traceback" not in err
+
+
+def test_unwritable_dump_lattice_exits_2(capsys, tmp_path):
+    path = tmp_path / "missing" / "lat.json"
+    code, out, err = run(capsys, "homology", "A3", "FP",
+                         "--dump-lattice", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_unwritable_dump_complex_exits_2(capsys, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, out, err = run(capsys, "homology", "A3", "FP",
+                         "--dump-complex", str(blocker / "cx"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 # -- verify command ----------------------------------------------------------
 
 def test_verify_tables_for_chosen_types(capsys):

@@ -142,15 +142,16 @@ def test_algebra_complex_is_exact_with_pinned_ranks():
 
 
 def test_group_ring_boundary_matches_materialized_fibre():
-    """Entries of the symbolic boundary, keyed by basis positions and
-    specialized at each group element, reproduce the materialized FQ and
-    M matrices, with the identity terms of M in their column's own row
-    block; for FP and MW each matrix entry is the sum of its cell."""
+    """Terms of the symbolic boundary, keyed by basis positions and the
+    reflection position t (-1 for the identity) and specialized at each
+    group element, reproduce the materialized FQ and M matrices, with the
+    identity terms of M in their column's own row block; for FP and MW
+    each matrix entry is the sum of its terms."""
     algebra = algebra_for("A3")
     group = algebra.group
     elements = sorted(group.enumerate_elements())
     index = {w: i for i, w in enumerate(elements)}
-    identity_cells = 0
+    identity_terms = 0
     for space, basis in (("FQ", algebra.cycle_basis),
                          ("M", algebra.full_basis)):
         cx = build_complex(algebra, space)
@@ -158,25 +159,28 @@ def test_group_ring_boundary_matches_materialized_fibre():
         for k in cx.degrees[1:]:
             entries = cx.matrices[k].entries
             rebuilt = {}
-            for (r, c), poly in group_ring_boundary(algebra, space,
-                                                    k).items():
+            for (r, c, t), coeff in group_ring_boundary(algebra, space,
+                                                        k).items():
+                assert coeff and -1 <= t < group.num_reflections
+                elem = group.identity if t == -1 else group.reflection(t)
                 for wi, w in enumerate(elements):
                     col = wi * width[k] + c
-                    for elem, coeff in poly.items():
-                        target = index[group.multiply(w, elem)]
-                        key = (target * width[k - 1] + r, col)
-                        rebuilt[key] = rebuilt.get(key, 0) + coeff
-                    if group.identity in poly:
-                        identity_cells += 1
+                    target = index[group.multiply(w, elem)]
+                    key = (target * width[k - 1] + r, col)
+                    rebuilt[key] = rebuilt.get(key, 0) + coeff
+                    if t == -1:
+                        identity_terms += 1
                         own = (wi * width[k - 1] + r, col)
-                        assert entries[own] == poly[group.identity]
+                        assert entries[own] == coeff
             assert {key: v for key, v in rebuilt.items() if v} == entries
-    assert identity_cells
+    assert identity_terms
     for space in ("FP", "MW"):
         cx = build_complex(algebra, space)
         for k in cx.degrees[1:]:
-            summed = {key: sum(poly.values()) for key, poly in
-                      group_ring_boundary(algebra, space, k).items()}
+            summed = {}
+            for (r, c, _), coeff in group_ring_boundary(algebra, space,
+                                                        k).items():
+                summed[r, c] = summed.get((r, c), 0) + coeff
             assert {key: v for key, v in summed.items() if v} == (
                 cx.matrices[k].entries)
 

@@ -183,17 +183,16 @@ def test_interval_ids_are_sorted_by_rank():
     assert all(lat.leq(atom, i) for i in sub)
 
 
-def test_id_of_labels_and_contains():
+def test_lattice_index_holds_the_interval():
     lat = lattice_for("A3")
-    assert lat.id_of_labels(()) == lat.identity_id
-    assert lat.id_of_labels((0, 1, 5)) == lat.gamma_id
-    assert lat.contains(lat.group.gamma)
+    group = lat.group
+    assert lat.index[group.identity] == lat.identity_id
+    assert lat.index[group.sequence_product((0, 1, 5))] == lat.gamma_id
+    assert group.gamma in lat.index
     # a crossing pair: rank 2 in the group but outside the interval
-    crossing = lat.group.sequence_product((2, 5))
-    assert lat.group.reflection_length(crossing) == 2
-    assert not lat.contains(crossing)
-    with pytest.raises(KeyError):
-        lat.id_of_labels((2, 5))
+    crossing = group.sequence_product((2, 5))
+    assert group.reflection_length(crossing) == 2
+    assert crossing not in lat.index
 
 
 def test_lattice_checks_raise_under_optimize():
