@@ -141,6 +141,30 @@ def test_algebra_complex_is_exact_with_pinned_ranks():
     assert all(_column(ones, c) == {0: 1} for c in range(cx.dims[1]))
 
 
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "B4",
+                                  "D4", "F4", "H3", "I2(5)", "I2(8)"])
+def test_algebra_complex_matches_interval_cycle_coordinates(name):
+    """Each basis chain goes to the coordinates of its interval cycle in
+    the full basis one degree down, solved here column by column."""
+    algebra = algebra_for(name)
+    cx = build_algebra_complex(algebra)
+    degrees = list(range(algebra.group.rank + 1))
+    assert cx.degrees == degrees
+    for k in degrees:
+        assert cx.labels[k] == algebra.full_basis(k).labels
+        assert cx.dims[k] == len(cx.labels[k])
+    for k in degrees[1:]:
+        below = algebra.full_basis(k - 1)
+        expected = {}
+        for col, label in enumerate(cx.labels[k]):
+            for row, c in algebra.coords_in_basis(
+                    algebra.interval_cycle(label), below).items():
+                expected[row, col] = c
+        matrix = cx.matrices[k]
+        assert (matrix.rows, matrix.cols) == (cx.dims[k - 1], cx.dims[k])
+        assert matrix.entries == expected
+
+
 def test_group_ring_boundary_matches_materialized_fibre():
     """Terms of the symbolic boundary, keyed by basis positions and the
     reflection position t (-1 for the identity) and specialized at each

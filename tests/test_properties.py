@@ -1,0 +1,49 @@
+"""The invariant suite's checks called directly."""
+
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+# A fresh A3 algebra whose alternating chain of one non-decreasing
+# factorization of gamma is replaced by that single key: no basis chain
+# has it as its maximal key, so the coordinate solve must refuse it and
+# the span check must fail.
+SPAN_SCRIPT = textwrap.dedent("""\
+    import random
+    import sys
+    from ncphom import ChainAlgebra, CoxeterGroup, PartitionLattice
+    from ncphom.properties import check_span_equality
+    print("optimize", sys.flags.optimize)
+    lat = PartitionLattice(CoxeterGroup.from_name("A3"))
+    algebra = ChainAlgebra(lat)
+    bad = next(s for s in lat.reduced_factorizations(lat.gamma_id)
+               if any(a < b for a, b in zip(s, s[1:])))
+    original = algebra.alternating_chain
+    algebra.alternating_chain = lambda seq: (
+        {bad: 1} if tuple(seq) == bad else original(seq))
+    try:
+        check_span_equality(algebra, random.Random(0))
+    except AssertionError:
+        print("span check raised AssertionError")
+    try:
+        algebra.chain_coords(bad, len(bad))
+    except ValueError as err:
+        print("chain_coords raised:", str(err).split(":")[0])
+""")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_span_check_fails_on_chain_outside_the_span(flags):
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, *flags, "-c", SPAN_SCRIPT],
+                         capture_output=True, text=True, timeout=60,
+                         env={"PYTHONPATH": str(src)})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        f"optimize {len(flags)}",
+        "span check raised AssertionError",
+        "chain_coords raised: chain not in span",
+    ]
