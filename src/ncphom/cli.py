@@ -233,8 +233,9 @@ def _table_tasks(args):
         if args.max_rank is None:
             for extra in EXTRA_TABLE_TYPES.get(space, ()):
                 add(extra, space)
-        for m in DIHEDRAL_TABLE_ORDERS:
-            add(f"I2({m})", space)
+        if rank >= 2:
+            for m in DIHEDRAL_TABLE_ORDERS:
+                add(f"I2({m})", space)
     return tasks
 
 
@@ -262,6 +263,10 @@ def cmd_verify(args) -> int:
         except TypeParseError as err:
             print(f"error: {err}", file=sys.stderr)
             return 2
+    if args.max_rank is not None and args.max_rank < 1:
+        print(f"error: --max-rank must be at least 1, got {args.max_rank}",
+              file=sys.stderr)
+        return 2
     text = os.environ.get("NCPHOM_WORKERS", str(os.cpu_count() or 1))
     workers = int(text) if text.strip().isdecimal() else 0
     if workers < 1:
@@ -336,7 +341,8 @@ def make_parser() -> argparse.ArgumentParser:
                      help="restrict table checks to this space "
                           "(repeatable; default FP and FQ0)")
     ver.add_argument("--max-rank", type=int,
-                     help="rank bound for the default selections")
+                     help="rank bound (at least 1) for the default "
+                          "selections")
     ver.add_argument("--group-cap", type=int, default=DEFAULT_GROUP_CAP)
     ver.add_argument("--seed", type=int, default=0,
                      help="seed for randomized invariants")

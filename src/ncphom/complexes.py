@@ -24,6 +24,11 @@ with row and col basis positions and t the reflection position of the
 group element, or -1 for the identity.  Only Z[W] coefficients turn t
 into an element.
 
+The identity part of the degree-k M and MW boundary is (-1)^k times the
+algebra differential, which sends each full basis chain to its interval
+cycle one degree down; ``build_algebra_complex`` is that part of the MW
+boundary.
+
 ``build_complex`` then tensors it with one of three coefficient modules:
 
 - the trivial module Z, every element acting as 1 (FP, MW);
@@ -170,28 +175,22 @@ def build_complex(algebra: ChainAlgebra, space: str,
 
 
 def build_algebra_complex(algebra: ChainAlgebra) -> ChainComplex:
-    """The algebra with its own differential: full bases in degrees 0..n,
-    each basis chain sent to its interval cycle one degree down.  The
-    complex is acyclic over the integers; its degreewise differential
-    ranks equal the cycle-basis sizes."""
-    n = algebra.group.rank
-    degrees = list(range(n + 1))
-    dims = {}
-    labels = {}
+    """The algebra with its own differential, each basis chain sent to
+    its interval cycle one degree down: the identity part (t = -1) of the
+    degree-k MW boundary times (-1)^k.  The complex is acyclic over the
+    integers; its degreewise differential ranks equal the cycle-basis
+    sizes."""
+    degrees = list(range(algebra.group.rank + 1))
+    labels = {k: algebra.full_basis(k).labels for k in degrees}
+    dims = {k: len(labels[k]) for k in degrees}
     matrices = {}
-    for k in degrees:
-        basis = algebra.full_basis(k)
-        dims[k] = len(basis.labels)
-        labels[k] = basis.labels
-        if k == 0:
-            continue
-        below = algebra.full_basis(k - 1)
-        matrix = BoundaryMatrix(dims[k - 1], dims[k])
-        for col, label in enumerate(basis.labels):
-            for row, c in algebra.coords_in_basis(
-                    algebra.interval_cycle(label), below).items():
-                matrix.set(row, col, c)
-        matrices[k] = matrix
+    for k in degrees[1:]:
+        sign = -1 if k % 2 else 1
+        matrices[k] = BoundaryMatrix(dims[k - 1], dims[k], {
+            (row, col): sign * c
+            for (row, col, t), c in group_ring_boundary(algebra, "MW",
+                                                        k).items()
+            if t == -1})
     return ChainComplex("B", degrees, dims, matrices, labels)
 
 

@@ -112,8 +112,6 @@ class PartitionLattice:
         self._rex_memo: dict = {}
         self._dec_memo: dict = {}
         self._mobius: list | None = None
-        self._chain_memo: dict = {}
-        self._prefix_basis_memo: dict = {}
 
     # -- order ---------------------------------------------------------------
 
@@ -180,10 +178,6 @@ class PartitionLattice:
     def increasing_chain(self, uid: int, vid: int):
         """Label sequence of the lex-first maximal chain from u to v, built
         by greedy least-label steps; raises if some step has no way up."""
-        state = (uid, vid)
-        cached = self._chain_memo.get(state)
-        if cached is not None:
-            return cached
         labels = []
         cur = uid
         while cur != vid:
@@ -193,9 +187,7 @@ class PartitionLattice:
                 raise ValueError("no chain upward; not a lattice interval")
             labels.append(step[0])
             cur = step[1]
-        out = tuple(labels)
-        self._chain_memo[state] = out
-        return out
+        return tuple(labels)
 
     def rank_prefix_basis(self, k: int):
         """The degree-(k+1) basis label sequences: decreasing factorizations
@@ -206,9 +198,6 @@ class PartitionLattice:
         below the last prefix entry, and the full increasing completion is
         checked to be strictly increasing.
         """
-        out = self._prefix_basis_memo.get(k)
-        if out is not None:
-            return out
         seqs = []
         for wid in self.by_rank[k]:
             completion = self.increasing_chain(wid, self.gamma_id)
@@ -219,9 +208,7 @@ class PartitionLattice:
             for prefix in self.decreasing_factorizations(wid):
                 if not prefix or prefix[-1] > first:
                     seqs.append(prefix + (first,))
-        out = tuple(sorted(seqs))
-        self._prefix_basis_memo[k] = out
-        return out
+        return tuple(sorted(seqs))
 
     def mobius(self, vid: int) -> int:
         """Moebius value mu(identity, v)."""

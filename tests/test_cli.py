@@ -213,6 +213,34 @@ def test_verify_rejects_bad_type_upfront(capsys):
     assert "reducible" in err
 
 
+def test_verify_max_rank_one_runs_a1_only(capsys):
+    code, out, _ = run(capsys, "verify", "tables", "--max-rank", "1",
+                       "--space", "FP")
+    assert code == 0
+    assert out.splitlines() == [
+        "PASS tables A1 FP: H0=Z",
+        "1 passed, 0 failed, 0 skipped",
+    ]
+
+
+def test_verify_max_rank_two_adds_the_dihedral_rows(capsys):
+    code, out, _ = run(capsys, "verify", "tables", "--max-rank", "2",
+                       "--space", "FP")
+    assert code == 0
+    labels = [line.split(":")[0] for line in out.splitlines()[:-1]]
+    assert labels == [f"PASS tables {name} FP" for name in (
+        "A1", "A2", "B2", *(f"I2({m})" for m in range(3, 11)))]
+
+
+@pytest.mark.parametrize("suite", ["tables", "invariants", "all"])
+@pytest.mark.parametrize("bound", ["0", "-1"])
+def test_verify_rejects_max_rank_below_one(capsys, suite, bound):
+    code, out, err = run(capsys, "verify", suite, "--max-rank", bound)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --max-rank must be at least 1, got {bound}\n"
+
+
 def test_verify_reports_mismatch(capsys, monkeypatch):
     wrong = ReferenceRow("A2", "FP",
                          (HomologyGroup(1), HomologyGroup(3)), -2,
