@@ -1,15 +1,20 @@
 """Integer normal forms and homology assembly.
 
-The Smith diagonalization is checked against determinantal divisors:
-the k-th invariant factor is gcd(all k-minors) / gcd(all (k-1)-minors),
-computed here by brute-force minor expansion.  Both the dense and the
-sparse elimination paths face the same oracle.
+One elimination computes every Smith form, so each check runs it
+through both ``invariant_factors`` and ``_sparse_diagonalize`` against
+an oracle that shares none of its code: determinantal divisors (the k-th
+invariant factor is gcd(all k-minors) / gcd(all (k-1)-minors), by
+brute-force minor expansion) for small matrices, and a known diagonal
+scrambled by unimodular operations for shapes on both sides of
+``DENSE_LIMIT``, the size below which the benchmark tracer labels a
+matrix dense.
 """
 
 import random
 import subprocess
 import sys
 import textwrap
+import time
 from itertools import combinations
 from math import gcd
 from pathlib import Path
@@ -67,12 +72,17 @@ def determinantal_divisor_factors(rows):
     return factors
 
 
-def _both_paths(matrix):
-    dense = _divisibility_fixup(
-        [abs(d) for d in _dense_diagonalize(matrix) if d])
+def assert_factors(matrix, expected):
+    """``invariant_factors`` and the bare elimination both give the
+    expected divisibility chain."""
+    assert invariant_factors(matrix) == (expected, len(expected))
     sparse = _divisibility_fixup(
         [abs(d) for d in _sparse_diagonalize(matrix) if d])
-    return dense, sparse
+    assert sparse == expected
+
+
+def test_one_elimination_serves_both_size_labels():
+    assert _dense_diagonalize is _sparse_diagonalize
 
 
 def test_smith_form_against_determinantal_divisors():
@@ -83,10 +93,8 @@ def test_smith_form_against_determinantal_divisors():
         rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
         if not any(any(row) for row in rows):
             continue
-        expected = determinantal_divisor_factors(rows)
-        dense, sparse = _both_paths(_matrix_from_rows(rows))
-        assert dense == expected, (rows, dense, expected)
-        assert sparse == expected, (rows, sparse, expected)
+        assert_factors(_matrix_from_rows(rows),
+                       determinantal_divisor_factors(rows))
 
 
 def test_smith_form_known_cases():
@@ -281,10 +289,30 @@ def test_sparse_path_handles_negative_pivots():
     # regression guard: balanced remainders must shrink against negative
     # pivots too
     rows = [[-7, 3, 0], [5, -11, 2], [0, 4, -9]]
-    expected = determinantal_divisor_factors(rows)
-    dense, sparse = _both_paths(_matrix_from_rows(rows))
-    assert dense == expected
-    assert sparse == expected
+    assert_factors(_matrix_from_rows(rows),
+                   determinantal_divisor_factors(rows))
+
+
+def scramble(diagonal, m, n, operations, rng):
+    """The m x n matrix with ``diagonal`` on its diagonal after
+    ``operations`` random unimodular row and column operations and random
+    row and column permutations."""
+    rows = [[0] * n for _ in range(m)]
+    for i, f in enumerate(diagonal):
+        rows[i][i] = f
+    for _ in range(operations):
+        mult = rng.choice([-2, -1, 1, 2])
+        if rng.random() < 0.5:
+            i, j = rng.sample(range(m), 2)
+            rows[i] = [a + mult * b for a, b in zip(rows[i], rows[j])]
+        else:
+            i, j = rng.sample(range(n), 2)
+            for row in rows:
+                row[i] += mult * row[j]
+    rng.shuffle(rows)
+    perm = rng.sample(range(n), n)
+    rows = [[row[c] for c in perm] for row in rows]
+    return _matrix_from_rows(rows)
 
 
 @st.composite
@@ -299,25 +327,12 @@ def scrambled_diagonals(draw, sizes):
     others = others[:min(m, n)]
     ones = draw(st.integers(0 if others else 1, min(m, n) - len(others)))
     factors = [1] * ones + others
-    rng = random.Random(draw(st.integers(0, 2 ** 32)))
-    rows = [[0] * n for _ in range(m)]
-    for i, f in enumerate(draw(st.permutations(factors))):
-        rows[i][i] = f
     # m + n operations give about as many nonzeros per column as the
-    # boundary matrices have (up to about 6).
-    for _ in range(m + n):
-        mult = rng.choice([-2, -1, 1, 2])
-        if rng.random() < 0.5:
-            i, j = rng.sample(range(m), 2)
-            rows[i] = [a + mult * b for a, b in zip(rows[i], rows[j])]
-        else:
-            i, j = rng.sample(range(n), 2)
-            for row in rows:
-                row[i] += mult * row[j]
-    rng.shuffle(rows)
-    perm = rng.sample(range(n), n)
-    rows = [[row[c] for c in perm] for row in rows]
-    return _matrix_from_rows(rows), sorted(factors)
+    # boundary matrices have (up to about 6); twice that is denser.
+    operations = draw(st.sampled_from([1, 2])) * (m + n)
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    matrix = scramble(draw(st.permutations(factors)), m, n, operations, rng)
+    return matrix, sorted(factors)
 
 
 # Shapes on both sides of DENSE_LIMIT, in each dimension.
@@ -329,10 +344,23 @@ SIZES = st.one_of(st.integers(2, 12),
 @given(scrambled_diagonals(SIZES))
 def test_scrambled_diagonals_on_both_paths(case):
     matrix, expected = case
-    dense, sparse = _both_paths(matrix)
-    assert sparse == expected
-    assert dense == expected
-    assert invariant_factors(matrix) == (expected, len(expected))
+    assert_factors(matrix, expected)
+
+
+def test_dense_scrambled_diagonal_below_dense_limit_finishes():
+    """A 179 x 189 matrix with 6708 nonzeros: the textbook dense
+    reduction that once took every matrix of this size ran past 5 s on
+    it, its entries growing without bound."""
+    rng = random.Random(9)
+    m, n = rng.randint(150, DENSE_LIMIT), rng.randint(150, DENSE_LIMIT)
+    others = [rng.choice([2, 6, 12]) for _ in range(6)]
+    factors = [1] * (min(m, n) - 6 - rng.randint(0, 10)) + others
+    diagonal = rng.sample(factors, len(factors))
+    matrix = scramble(diagonal, m, n, 2 * (m + n), rng)
+    assert (matrix.rows, matrix.cols, len(matrix.entries)) == (179, 189, 6708)
+    start = time.perf_counter()
+    assert invariant_factors(matrix) == (sorted(factors), len(factors))
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("name,space,ranks", [
