@@ -27,7 +27,7 @@ into an element.
 The identity part of the degree-k M and MW boundary is (-1)^k times the
 algebra differential, which sends each full basis chain to its interval
 cycle one degree down; ``build_algebra_complex`` is that part of the MW
-boundary.
+boundary, read from the same plain-deletion sum.
 
 ``build_complex`` then tensors it with one of three coefficient modules:
 
@@ -107,11 +107,23 @@ def group_ring_boundary(algebra: ChainAlgebra, space: str, k: int) -> dict:
                     algebra.deleted_conjugate(label, i), k - 1).items():
                 key = (row, col, t)
                 acc[key] = acc.get(key, 0) + sign * c
-            if not fibre:
-                for row, c in coords_of(
-                        label[:i] + label[i + 1:], k - 1).items():
-                    key = (row, col, -1)
-                    acc[key] = acc.get(key, 0) - sign * c
+    acc = {key: c for key, c in acc.items() if c}
+    if not fibre:  # t = -1 is never a reflection position
+        for (row, col), c in _plain_deletion(algebra, k).items():
+            acc[row, col, -1] = -c
+    return acc
+
+
+def _plain_deletion(algebra: ChainAlgebra, k: int) -> dict:
+    """The alternating sum of plain deletions on the degree-k full basis,
+    {(row, col): coeff} with nonzero coefficients only."""
+    acc: dict = {}
+    for col, label in enumerate(algebra.full_basis(k).labels):
+        for i in range(k):
+            sign = -1 if i % 2 else 1
+            for row, c in algebra.chain_coords(
+                    label[:i] + label[i + 1:], k - 1).items():
+                acc[row, col] = acc.get((row, col), 0) + sign * c
     return {key: c for key, c in acc.items() if c}
 
 
@@ -177,20 +189,17 @@ def build_complex(algebra: ChainAlgebra, space: str,
 def build_algebra_complex(algebra: ChainAlgebra) -> ChainComplex:
     """The algebra with its own differential, each basis chain sent to
     its interval cycle one degree down: the identity part (t = -1) of the
-    degree-k MW boundary times (-1)^k.  The complex is acyclic over the
-    integers; its degreewise differential ranks equal the cycle-basis
-    sizes."""
+    degree-k MW boundary times (-1)^k, which is the plain-deletion sum
+    times (-1)^(k + 1).  The complex is acyclic over the integers; its
+    degreewise differential ranks equal the cycle-basis sizes."""
     degrees = list(range(algebra.group.rank + 1))
     labels = {k: algebra.full_basis(k).labels for k in degrees}
     dims = {k: len(labels[k]) for k in degrees}
     matrices = {}
     for k in degrees[1:]:
-        sign = -1 if k % 2 else 1
+        sign = 1 if k % 2 else -1
         matrices[k] = BoundaryMatrix(dims[k - 1], dims[k], {
-            (row, col): sign * c
-            for (row, col, t), c in group_ring_boundary(algebra, "MW",
-                                                        k).items()
-            if t == -1})
+            key: sign * c for key, c in _plain_deletion(algebra, k).items()})
     return ChainComplex("B", degrees, dims, matrices, labels)
 
 

@@ -1,18 +1,21 @@
 """Exact integer Smith normal form and homology-group assembly.
 
 Every nonzero matrix goes through one sparse dict-of-dicts elimination
-in two phases.  First unit pivots, chosen Markowitz-style to limit fill:
-a lazy min-heap of column counts yields the shortest column that holds a
-+-1 entry, and within it the +-1 entry of the shortest row.  Clearing
-that column by row operations stays integral because the pivot is a
-unit; the pivot row and column are then dropped.  Second, the core left
-when no unit remains goes through a minimal-|v| reduction (least fill
-among equal pivots) whose balanced remainders shrink the minimum absolute
-entry monotonically, so the loop terminates.  Most boundaries of the
-bundled tables leave no core, the rest a few hundred nonzeros, but fill
-can still make it large (Dumas, Saunders and Villard, "On efficient
-sparse integer matrix Smith normal form computations", 2001).
-``DENSE_LIMIT`` only sorts matrices into two names for the same
+loop with two pivot rules.  A unit pivot is chosen Markowitz-style to
+limit fill: a lazy min-heap of column counts yields the shortest column
+that holds a +-1 entry, and within it the +-1 entry of the shortest row.
+When no unit is left, the pivot is the entry of least absolute value,
+then least fill.  Either way the step clears the pivot column by row
+operations with the balanced quotient and, once the column is clear,
+reduces the pivot row modulo the pivot; a unit pivot clears both at once
+and is dropped.  A non-unit step that drops nothing leaves an entry
+smaller than every entry before it, and a unit among its remainders goes
+back to the heap.  Each step thus either removes a row or lowers the
+least absolute entry, so the loop terminates.  Most boundaries of the
+bundled tables never need a non-unit pivot and the rest need few, but
+fill can leave a large part without units (Dumas, Saunders and Villard,
+"On efficient sparse integer matrix Smith normal form computations",
+2001).  ``DENSE_LIMIT`` only sorts matrices into two names for the same
 function, which the benchmark tracer reads as labels.
 
 It ends with a divisibility fixup (replace any non-dividing pair of
@@ -42,15 +45,6 @@ class BoundaryMatrix:
     rows: int
     cols: int
     entries: dict = field(default_factory=dict)
-
-    def set(self, row: int, col: int, value: int) -> None:
-        if value:
-            self.entries[(row, col)] = value
-        else:
-            self.entries.pop((row, col), None)
-
-    def is_zero(self) -> bool:
-        return not self.entries
 
 
 def compose(a: BoundaryMatrix, b: BoundaryMatrix) -> BoundaryMatrix:
@@ -86,38 +80,62 @@ def invariant_factors(matrix: BoundaryMatrix):
 
 
 def _sparse_diagonalize(matrix: BoundaryMatrix):
+    """The diagonal of a Smith form of ``matrix``, up to sign and the
+    divisibility fixup.
+
+    Each step takes a pivot, clears its column by row operations with the
+    balanced quotient, and, if that leaves the column clear, reduces the
+    pivot row modulo the pivot.  If the row reduces to nothing the pivot is
+    recorded and dropped; otherwise it goes back and the loop goes round
+    again.  A unit pivot always clears its row and column.  A non-unit
+    pivot is only ever taken as the least entry, so a step that removes
+    no row leaves an entry smaller in absolute value than every entry
+    before it.  No step adds a row, and between two row removals the
+    least absolute entry falls at every step, so the loop terminates.
+    """
     rows: dict = {}
     cols: dict = {}
     for (r, c), v in matrix.entries.items():
         rows.setdefault(r, {})[c] = v
         cols.setdefault(c, set()).add(r)
     diag = []
-
-    # Unit pivots, shortest column first.  Heap entries whose count no
-    # longer matches the column are stale and skipped; a column without a
-    # unit is dropped until fill changes it and pushes it again.
+    # Heap entries whose count no longer matches the column are stale and
+    # skipped; a column without a unit is dropped until a step touches it.
     heap = [(len(rs), c) for c, rs in cols.items()]
     heapify(heap)
-    while heap:
-        count, pc = heappop(heap)
-        pcol = cols.get(pc)
-        if pcol is None or len(pcol) != count:
-            continue
-        pr = min((r for r in pcol if rows[r][pc] in (1, -1)),
-                 key=lambda r: (len(rows[r]), r), default=None)
-        if pr is None:
-            continue
-        prow = rows.pop(pr)
+    while rows:
+        while heap:
+            count, pc = heappop(heap)
+            pcol = cols.get(pc)
+            if pcol is None or len(pcol) != count:
+                continue
+            pr = min((r for r in pcol if rows[r][pc] in (1, -1)),
+                     key=lambda r: (len(rows[r]), r), default=None)
+            if pr is not None:
+                break
+        else:
+            _, _, pr, pc = min(
+                (abs(v), (len(row) - 1) * (len(cols[c]) - 1), r, c)
+                for r, row in rows.items() for c, v in row.items())
+            pcol = cols[pc]
+        touched = prow = rows.pop(pr)
         pv = prow.pop(pc)
         pcol.discard(pr)
         for c in prow:
             cols[c].discard(pr)
-        # Clear the pivot column by row operations; clearing the pivot row
-        # by column operations would then touch no other row, so it is
-        # skipped.  Only the pivot row's columns change.
+        size = abs(pv)
+        half = (size - 1) // 2  # remainders fall in -half..size-1-half
+        left = cols[pc] = set()
         for r in pcol:
             row = rows[r]
-            q = row.pop(pc) * pv
+            v = row[pc]
+            rem = (v + half) % size - half
+            q = (v - rem) // pv
+            if rem:
+                row[pc] = rem
+                left.add(r)
+            else:
+                del row[pc]
             for c, w in prow.items():
                 v = row.get(c, 0) - q * w
                 if v:
@@ -129,83 +147,26 @@ def _sparse_diagonalize(matrix: BoundaryMatrix):
                     cols[c].discard(r)
             if not row:
                 del rows[r]
-        del cols[pc]
-        diag.append(pv)
-        for c in prow:
+        if not left:
+            # Column operations now change only the pivot row, so reduce
+            # it modulo pv; a unit reduces it to nothing.
+            prow = {} if size == 1 else {
+                c: rem for c, w in prow.items()
+                if (rem := (w + half) % size - half)}
+        if left or prow:
+            prow[pc] = pv
+            rows[pr] = prow
+            for c in prow:
+                cols[c].add(pr)
+        else:
+            diag.append(pv)
+            del cols[pc]
+        for c in touched:
             col = cols[c]
             if col:
                 heappush(heap, (len(col), c))
             else:
                 del cols[c]
-
-    # The core, where no entry is a unit: minimal-|v| pivots.
-    def discard(r, c):
-        row = rows[r]
-        row.pop(c, None)
-        if not row:
-            del rows[r]
-        colset = cols[c]
-        colset.discard(r)
-        if not colset:
-            del cols[c]
-
-    def put(r, c, v):
-        if v:
-            if c not in rows.setdefault(r, {}):
-                cols.setdefault(c, set()).add(r)
-            rows[r][c] = v
-        elif r in rows and c in rows[r]:
-            discard(r, c)
-
-    while rows:
-        # pivot: min |v|, among those least fill
-        best = None
-        best_key = None
-        for r, row in rows.items():
-            for c, v in row.items():
-                fill = (len(row) - 1) * (len(cols[c]) - 1)
-                key = (abs(v), fill, r, c)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = (r, c, v)
-            if best_key[:2] == (1, 0):
-                break
-        pr, pc, pv = best
-        # reduce the pivot column
-        clean = True
-        for r in list(cols[pc]):
-            if r == pr:
-                continue
-            v = rows[r][pc]
-            q = v // pv
-            if 2 * abs(v - q * pv) > abs(pv):  # balanced remainder
-                q += 1
-            if q:
-                prow = rows[pr]
-                for c, w in list(prow.items()):
-                    put(r, c, rows.get(r, {}).get(c, 0) - q * w)
-            if rows.get(r, {}).get(pc, 0):
-                clean = False
-        if not clean:
-            continue
-        # reduce the pivot row
-        for c in list(rows[pr].keys()):
-            if c == pc:
-                continue
-            v = rows[pr][c]
-            q = v // pv
-            if 2 * abs(v - q * pv) > abs(pv):
-                q += 1
-            if q:
-                for r in list(cols[pc]):
-                    put(r, c, rows.get(r, {}).get(c, 0) - q * rows[r][pc])
-            if rows[pr].get(c, 0):
-                clean = False
-        if not clean:
-            continue
-        # pivot row and column are clean: extract
-        diag.append(pv)
-        discard(pr, pc)
     return diag
 
 

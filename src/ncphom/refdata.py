@@ -53,7 +53,7 @@ class ReferenceRow:
 
 def _decode(row: dict) -> ReferenceRow:
     groups = tuple(
-        None if g is None else HomologyGroup(g["free"], tuple(g["torsion"]))
+        None if g is None else HomologyGroup.from_dict(g)
         for g in row["groups"])
     return ReferenceRow(row["type"], row["space"], groups, row["euler"],
                         row["source"], row.get("status", "ok"))

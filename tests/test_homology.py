@@ -35,7 +35,7 @@ def _matrix_from_rows(rows):
     for r, row in enumerate(rows):
         for c, v in enumerate(row):
             if v:
-                m.set(r, c, v)
+                m.entries[(r, c)] = v
     return m
 
 
@@ -95,6 +95,22 @@ def test_smith_form_against_determinantal_divisors():
             continue
         assert_factors(_matrix_from_rows(rows),
                        determinantal_divisor_factors(rows))
+
+
+def test_smith_form_of_unit_free_matrices():
+    """No entry is a unit, but the Smith form often has units, so every
+    unit pivot comes from a remainder of a least-entry pivot."""
+    rng = random.Random(43)
+    values = [2, 3, 4, 6, 9, -2, -3, -4, -6, -9]
+    with_units = 0
+    for trial in range(200):
+        m = rng.randint(1, 6)
+        n = rng.randint(1, 6)
+        rows = [[rng.choice(values) for _ in range(n)] for _ in range(m)]
+        expected = determinantal_divisor_factors(rows)
+        assert_factors(_matrix_from_rows(rows), expected)
+        with_units += 1 in expected
+    assert with_units > 100
 
 
 def test_smith_form_known_cases():
@@ -164,9 +180,6 @@ def test_divisibility_fixup_matches_the_pairwise_fixup():
 def test_boundary_matrix_operations():
     m = _matrix_from_rows([[1, 2], [0, -1]])
     assert m.entries == {(0, 0): 1, (0, 1): 2, (1, 1): -1}
-    assert not m.is_zero()
-    m.set(0, 0, 0)
-    assert (0, 0) not in m.entries
     product = compose(_matrix_from_rows([[1, 1]]),
                       _matrix_from_rows([[1], [-1]]))
     assert product.entries == {}
@@ -194,13 +207,13 @@ def test_homology_of_two_sphere():
     faces = list(combinations(verts, 3))
     d1 = BoundaryMatrix(4, 6)
     for c, (a, b) in enumerate(edges):
-        d1.set(a, c, -1)
-        d1.set(b, c, 1)
+        d1.entries[(a, c)] = -1
+        d1.entries[(b, c)] = 1
     d2 = BoundaryMatrix(6, 4)
     for c, (a, b, e) in enumerate(faces):
         for j, face in enumerate(((b, e), (a, e), (a, b))):
-            d2.set(edges.index(face), c, -1 if j % 2 else 1)
-    assert compose(d1, d2).is_zero()
+            d2.entries[(edges.index(face), c)] = -1 if j % 2 else 1
+    assert not compose(d1, d2).entries
     cx = _Complex([0, 1, 2], {0: 4, 1: 6, 2: 4}, {1: d1, 2: d2})
     assert [str(h) for h in homology_of(cx)] == ["Z", "0", "Z"]
     assert euler_characteristic(cx) == 2
@@ -361,6 +374,19 @@ def test_dense_scrambled_diagonal_below_dense_limit_finishes():
     start = time.perf_counter()
     assert invariant_factors(matrix) == (sorted(factors), len(factors))
     assert time.perf_counter() - start < 1.0
+
+
+def test_unit_free_scrambled_diagonal():
+    """Eight each of 6, 10 and 15 on a 30 x 34 diagonal, scrambled with
+    no unit entry.  Prime by prime the exponents are eight 0s and sixteen
+    1s, so the invariant factors are eight 1s and sixteen 30s: every unit
+    is a remainder."""
+    rng = random.Random(0)
+    diagonal = rng.sample([6, 10, 15] * 8, 24)
+    matrix = scramble(diagonal, 30, 34, 2 * (30 + 34), random.Random(0))
+    assert len(matrix.entries) == 556
+    assert not any(v in (1, -1) for v in matrix.entries.values())
+    assert_factors(matrix, [1] * 8 + [30] * 16)
 
 
 @pytest.mark.parametrize("name,space,ranks", [
