@@ -13,9 +13,9 @@ from conftest import lattice_for
 
 EXPECTED_SIZES = {
     "A1": 2, "A2": 5, "A3": 14, "A4": 42, "A5": 132,
-    "B2": 6, "B3": 20, "B4": 70,
-    "D3": 14, "D4": 50,
-    "F4": 105, "H3": 32,
+    "B2": 6, "B3": 20, "B4": 70, "B5": 252,
+    "D3": 14, "D4": 50, "D5": 182,
+    "E6": 833, "F4": 105, "H3": 32, "H4": 280,
     "I2(3)": 5, "I2(4)": 6, "I2(7)": 9, "I2(12)": 14,
 }
 
@@ -59,7 +59,8 @@ def test_atoms_below_are_the_first_letters():
         assert lat.atoms_below(vid) == firsts
 
 
-@pytest.mark.parametrize("name", ["B3", "D4", "F4", "H3"])
+@pytest.mark.parametrize("name", ["A5", "B3", "B5", "D4", "D5", "E6", "F4",
+                                  "H3", "H4", "I2(8)"])
 def test_atoms_below_match_the_absolute_order(name):
     """Atoms below v, read from the group's absolute order rather than
     from the lattice's cover graph."""
