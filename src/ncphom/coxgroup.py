@@ -142,8 +142,11 @@ class CoxeterGroup:
                 == self.reflection_length(b))
 
     def parity(self, a) -> int:
-        """0 for even elements (determinant +1), 1 for odd."""
-        return self.reflection_length(a) % 2
+        """0 for even elements (determinant +1), 1 for odd: the Coxeter
+        length is the number of positive roots that a sends to negative
+        ones, and each simple reflection has determinant -1."""
+        total = self.num_reflections
+        return sum(1 for x in a[:total] if x >= total) % 2
 
     # -- reflections ---------------------------------------------------------
 

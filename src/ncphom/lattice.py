@@ -3,8 +3,17 @@ bipartite Coxeter element.
 
 Elements are collected by downward closure from the top: the lower covers of
 v are exactly the products v t over reflections t that drop the reflection
-length by one, and iterating reaches every element of the interval.  All
-order data is then derived combinatorially:
+length by one, and iterating reaches every element of the interval.  The
+closure tries only some reflections at each element u, and finds the same
+covers.  A reflection below u is below every upper cover v of u, so it is
+the label of a lower cover of v; and the label t of the edge from v down to
+u = v t is never below u, since u t = v is longer than u.  So the
+candidates at u are the intersection, over its upper covers v, of the
+labels of lower covers of v, less the label of the edge from v.  The
+closure goes rank by rank, so every upper cover of u is finished before u;
+at gamma every reflection is a candidate.  Each candidate is still tested
+by its product's reflection length.  All order data is then derived
+combinatorially:
 
 - containment bitsets (one integer bitmask per element) by a rank-by-rank
   sweep over cover edges, making every leq test O(1),
@@ -44,23 +53,30 @@ class PartitionLattice:
         _require(self.n == group.ctype.rank,
                  "the Coxeter element must have full reflection length")
 
-        # downward closure from gamma
+        # downward closure from gamma, rank by rank; candidates[u] is a
+        # bitmask of reflection positions, narrowed by each upper cover
         rank_of = {group.gamma: self.n}
         lower = {group.gamma: []}
+        candidates = {group.gamma: (1 << group.num_reflections) - 1}
         frontier = [group.gamma]
         while frontier:
             new = []
             for v in frontier:
                 r = rank_of[v]
-                for tpos in range(group.num_reflections):
+                labels = 0
+                for tpos in self._bit_ids(candidates.pop(v)):
                     u = group.multiply(v, group.reflection(tpos))
                     if group.reflection_length(u) != r - 1:
                         continue
+                    labels |= 1 << tpos
                     lower[v].append((tpos, u))
                     if u not in rank_of:
                         rank_of[u] = r - 1
                         lower[u] = []
                         new.append(u)
+                for tpos, u in lower[v]:
+                    allowed = labels & ~(1 << tpos)
+                    candidates[u] = candidates.get(u, allowed) & allowed
             frontier = new
         _require(rank_of.get(group.identity) == 0,
                  "the downward closure must reach the identity")

@@ -58,6 +58,17 @@ def test_parity_is_the_determinant_sign(name):
         assert group.parity(w) == length % 2
 
 
+@pytest.mark.parametrize("name", ["A1", "A3", "A4", "B3", "B4", "D4", "F4",
+                                  "H3", "I2(5)", "I2(6)", "I2(8)"])
+def test_parity_is_the_reflection_length_parity(name):
+    """Every element is a product of l(w) reflections, each of
+    determinant -1, so the parity read off the root permutation must be
+    the parity of the reflection length."""
+    group = CoxeterGroup.from_name(name)
+    for w in group.enumerate_elements():
+        assert group.parity(w) == group.reflection_length(w) % 2
+
+
 def test_absolute_order_basics():
     group = group_for("A3")
     t = group.reflection(2)

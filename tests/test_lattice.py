@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import lattice_for
+from ncphom import CoxeterGroup, PartitionLattice
 
 EXPECTED_SIZES = {
     "A1": 2, "A2": 5, "A3": 14, "A4": 42, "A5": 132,
@@ -70,6 +71,23 @@ def test_atoms_below_match_the_absolute_order(name):
         assert lat.atoms_below(vid) == [
             t for t in range(group.num_reflections)
             if group.absolute_leq(group.reflection(t), key)]
+
+
+def test_closure_tries_only_the_reflections_below_every_upper_cover():
+    """F4 has 24 reflections and 105 lattice elements: trying every
+    reflection at every element takes 2520 products, the candidate rule
+    756."""
+    group = CoxeterGroup.from_name("F4")
+    multiply = group.multiply
+    calls = []
+
+    def counted(a, b):
+        calls.append(b)
+        return multiply(a, b)
+
+    group.multiply = counted
+    assert PartitionLattice(group).size == 105
+    assert len(calls) <= 756
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "D4", "H3"])
