@@ -3,16 +3,16 @@ bipartite Coxeter element.
 
 Elements are collected by downward closure from the top: the lower covers of
 v are exactly the products v t over reflections t that drop the reflection
-length by one, and iterating reaches every element of the interval.  The
-closure tries only some reflections at each element u, and finds the same
-covers.  A reflection below u is below every upper cover v of u, so it is
-the label of a lower cover of v; and the label t of the edge from v down to
-u = v t is never below u, since u t = v is longer than u.  So the
+length by one, and iterating reaches every element of the interval.  At
+each element u the closure tries only candidate reflections, and no cover
+is missed: a reflection below u is below every upper cover v of u, so it
+is the label of a lower cover of v; and the label t of the edge from v
+down to u = v t is never below u, since u t = v is longer than u.  So the
 candidates at u are the intersection, over its upper covers v, of the
 labels of lower covers of v, less the label of the edge from v.  The
 closure goes rank by rank, so every upper cover of u is finished before u;
-at gamma every reflection is a candidate.  Each candidate is still tested
-by its product's reflection length.  All order data is then derived
+at gamma every reflection is a candidate.  Each candidate is tested by
+its product's reflection length.  All order data is then derived
 combinatorially:
 
 - containment bitsets (one integer bitmask per element) by a rank-by-rank
