@@ -147,6 +147,12 @@ def build_complex(algebra: ChainAlgebra, space: str,
                   cap: int = DEFAULT_GROUP_CAP) -> ChainComplex:
     """The complex of one space: the group-ring boundary of every degree,
     tensored with the space's coefficient module."""
+    return _unreduced_complex(algebra, space, cap)
+
+
+def _unreduced_complex(algebra: ChainAlgebra, space: str,
+                       cap: int = DEFAULT_GROUP_CAP) -> ChainComplex:
+    """The complex of one space with every basis chain kept."""
     if space not in SPACES:
         raise ValueError(f"unknown space {space!r}")
     group = algebra.group

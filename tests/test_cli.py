@@ -1,5 +1,6 @@
 """Command line interface: formats, dumps, verify, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -134,6 +135,40 @@ def test_dump_complex_writes_matrices(capsys, tmp_path):
     assert boundary["rows"] == 1 and boundary["cols"] == 2
     assert boundary["entries"] == []
     assert sorted(os.listdir(outdir)) == ["bases.json", "boundary_2.json"]
+
+
+# SHA-256 of every file ``--dump-complex`` writes, from the assembly that
+# kept every basis chain; the dump still writes that complex.
+DUMPED_COMPLEX_DIGESTS = {
+    ("A3", "FQ0"): {
+        "bases.json": "5e16be9b02a2cd5734f382eef7961cdd"
+                      "e2dd87b36824277d858af935837bfe19",
+        "boundary_2.json": "070634c16cdcfa6fdb99f89e7c45b0cb"
+                           "68a8156d22471bc410cf963808bba7b5",
+        "boundary_3.json": "6e887d9fb10ca9d49c6523523fca5723"
+                           "6ace0530f7b8841cfa1d95ac99b9cda8",
+    },
+    ("A2", "M"): {
+        "bases.json": "e41afc9fe32d058c46de0eadc937d546"
+                      "3bba2c2cb86af0e2d24300411bef223c",
+        "boundary_1.json": "12f4d95f1bb878b7946154351569309"
+                           "859198dd9c3449bb6254da30e7747faff",
+        "boundary_2.json": "389ca2b164f904d5ba6fe8a483edb125"
+                           "379a1c15bc67513b63aa203f9c6d1210",
+    },
+}
+
+
+@pytest.mark.parametrize("name,space", sorted(DUMPED_COMPLEX_DIGESTS))
+def test_dump_complex_writes_the_unreduced_complex(capsys, tmp_path, name,
+                                                   space):
+    outdir = tmp_path / "cx"
+    code, _, _ = run(capsys, "homology", name, space,
+                     "--dump-complex", str(outdir))
+    assert code == 0
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in outdir.iterdir()}
+    assert digests == DUMPED_COMPLEX_DIGESTS[name, space]
 
 
 @pytest.mark.parametrize("k", ["9", "-1"])

@@ -6,7 +6,8 @@ import pytest
 
 from conftest import algebra_for
 from ncphom import GroupCapExceeded, build_complex, homology_of
-from ncphom.complexes import (build_algebra_complex,
+from ncphom import euler_characteristic
+from ncphom.complexes import (_unreduced_complex, build_algebra_complex,
                               fibre_support_is_reflections,
                               group_ring_boundary,
                               group_ring_square_is_zero)
@@ -90,7 +91,7 @@ def test_complement_boundary_in_degree_one():
     """d(w (x) beta_t) = (w t) (x) 1 - w (x) 1 for every reflection."""
     algebra = algebra_for("A2")
     group = algebra.group
-    cx = build_complex(algebra, "M")
+    cx = _unreduced_complex(algebra, "M")
     elements = sorted(group.enumerate_elements())
     index = {w: i for i, w in enumerate(elements)}
     width = len(algebra.full_basis(1).labels)
@@ -178,7 +179,7 @@ def test_group_ring_boundary_matches_materialized_fibre():
     identity_terms = 0
     for space, basis in (("FQ", algebra.cycle_basis),
                          ("M", algebra.full_basis)):
-        cx = build_complex(algebra, space)
+        cx = _unreduced_complex(algebra, space)
         width = {k: len(basis(k).labels) for k in cx.degrees}
         for k in cx.degrees[1:]:
             entries = cx.matrices[k].entries
@@ -199,7 +200,7 @@ def test_group_ring_boundary_matches_materialized_fibre():
             assert {key: v for key, v in rebuilt.items() if v} == entries
     assert identity_terms
     for space in ("FP", "MW"):
-        cx = build_complex(algebra, space)
+        cx = _unreduced_complex(algebra, space)
         for k in cx.degrees[1:]:
             summed = {}
             for (r, c, _), coeff in group_ring_boundary(algebra, space,
@@ -221,9 +222,11 @@ def test_fibre_boundary_support_is_reflections():
     assert fibre_support_is_reflections(algebra_for("B3"))
 
 
-# SHA-256 of (name, degrees, dims, labels, sorted entries) per complex, as
-# built by the per-space assemblers that preceded the single group-ring
-# assembly; any change to a basis, a label or an entry changes the digest.
+# SHA-256 of (name, degrees, dims, labels, sorted entries) per unreduced
+# complex, as built by the per-space assemblers that preceded the single
+# group-ring assembly; any change to a basis, a label or an entry changes
+# the digest.  FP and MW have the trivial module, so ``build_complex``
+# returns the unreduced complex for them and must match too.
 PINNED_DIGESTS = [
     ("A2", "FP",
      "4c05211bfbee5aff5ee9b0e1c8ec62ba3118408aac227b0595c4033be6c71fb8"),
@@ -317,4 +320,39 @@ def _complex_digest(cx):
 
 @pytest.mark.parametrize("name,space,digest", PINNED_DIGESTS)
 def test_complex_matches_pinned_digest(name, space, digest):
-    assert _complex_digest(build_complex(algebra_for(name), space)) == digest
+    algebra = algebra_for(name)
+    assert _complex_digest(_unreduced_complex(algebra, space)) == digest
+    if space in ("FP", "MW"):
+        assert _complex_digest(build_complex(algebra, space)) == digest
+
+
+REDUCED_TABLES = [(name, space)
+                  for name in ("A2", "A3", "B2", "B3", "D3", "I2(5)", "I2(6)")
+                  for space in ("FQ", "FQ0", "M")]
+REDUCED_TABLES += [("A4", "FQ0"), ("D4", "FQ0"), ("H3", "FQ0")]
+
+
+@pytest.mark.parametrize("name,space", REDUCED_TABLES)
+def test_reduced_complex_matches_unreduced(name, space):
+    """The complex reduced over the group ring squares to zero and has the
+    homology and Euler characteristic of the complex with every basis
+    chain kept."""
+    algebra = algebra_for(name)
+    reduced = build_complex(algebra, space)
+    reduced.check_square_zero()
+    full = _unreduced_complex(algebra, space)
+    assert homology_of(reduced) == homology_of(full)
+    assert euler_characteristic(reduced) == euler_characteristic(full)
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "B2", "B3", "D3", "I2(5)",
+                                  "I2(6)"])
+def test_reduced_fibre_dims_double(name):
+    """FQ and FQ0 share one group-ring boundary and so one reduction;
+    each surviving basis chain has |W| copies in FQ and |W|/2 in FQ0."""
+    algebra = algebra_for(name)
+    full = build_complex(algebra, "FQ")
+    half = build_complex(algebra, "FQ0")
+    assert full.degrees == half.degrees
+    assert [full.dims[k] for k in full.degrees] == [
+        2 * half.dims[k] for k in half.degrees]
