@@ -20,7 +20,7 @@ import os
 import sys
 
 from .chain_algebra import ChainAlgebra
-from .complexes import SPACES, build_complex
+from .complexes import SPACES, _unreduced_complex, build_complex
 from .coxgroup import DEFAULT_GROUP_CAP, CoxeterGroup, GroupCapExceeded
 from .homology import euler_characteristic, homology_of
 from .lattice import PartitionLattice
@@ -148,7 +148,9 @@ def cmd_homology(args) -> int:
         if args.dump_basis is not None:
             print(dump_basis(algebra, args.dump_basis))
             return 0
-        complex_ = build_complex(algebra, args.space, cap=args.group_cap)
+        # A dump writes the complex with every basis chain kept.
+        build = _unreduced_complex if args.dump_complex else build_complex
+        complex_ = build(algebra, args.space, cap=args.group_cap)
         if args.dump_complex:
             dump_complex(complex_, args.dump_complex)
     except GroupCapExceeded as err:

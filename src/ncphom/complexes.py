@@ -29,18 +29,40 @@ algebra differential, which sends each full basis chain to its interval
 cycle one degree down; ``build_algebra_complex`` is that part of the MW
 boundary, read from the same plain-deletion sum.
 
-``build_complex`` then tensors it with one of three coefficient modules:
+For the group-tensored spaces (FQ, FQ0, M) ``build_complex`` first
+reduces that matrix over Z[W], by the Gaussian-elimination lemma for
+chain complexes (Kaczynski, Mrozek and Slusarek 1998; Skoldberg 2006).
+An entry u = +-g, one group element with coefficient +-1, is a unit of
+Z[W].  Eliminating it at (row r0, col c0) of the degree-k boundary sets
+
+    A'[c][r] = A[c][r] - A[c][r0] u^-1 A[c0][r],
+
+with the factors in this order because columns act on their group slot
+from the right, removes row c0 from the degree-(k+1) boundary and
+column r0 from the degree-(k-1) boundary, and leaves a chain-homotopy
+equivalent complex.  Pivots go by a Markowitz cost weighted by support
+size, until no unit entry is left.  Every element of a fibre boundary is
+odd, and products of three odd elements are odd, so the reduced fibre
+boundaries stay odd and the parity half is still a subcomplex.  A3 M
+keeps 1, 3, 3 and 1 of its 1, 6, 10 and 5 basis chains.
+``_unreduced_complex`` skips the reduction; ``--dump-complex`` writes
+its matrices, and the pinned digests fix them.
+
+The (reduced) boundary is then tensored with one of three coefficient
+modules:
 
 - the trivial module Z, every element acting as 1 (FP, MW);
 - Z[W] with W acting by right multiplication (FQ, M);
 - the degree-parity half of Z[W], where the elements in chain degree k
-  have parity k mod 2; right multiplication by a reflection swaps the
-  halves (FQ0).
+  have parity k mod 2; right multiplication by an odd element swaps the
+  halves (FQ0).  An entry of even parity would leave the half, and the
+  tensoring raises ``RuntimeError``.
 
-The right action is tabulated once per degree for each t in the
-boundary's support, so the group is multiplied once per slot and support
-element rather than once per matrix entry.  The group-ring form also lets the
-square-is-zero law be checked for groups too large to enumerate.
+The right action is tabulated once per degree for each group element in
+the boundary's support, so the group is multiplied once per slot and
+support element rather than once per matrix entry.  The group-ring form
+also lets the square-is-zero law be checked for groups too large to
+enumerate.
 """
 
 from __future__ import annotations
@@ -127,69 +149,223 @@ def _plain_deletion(algebra: ChainAlgebra, k: int) -> dict:
     return {key: c for key, c in acc.items() if c}
 
 
-def _coefficient_slots(group, space: str, degrees, cap):
-    """The group elements indexing the coefficient copies in each degree,
-    or None for the trivial module (FP, MW)."""
-    if space in ("FP", "MW"):
-        return None
-    elements = sorted(group.enumerate_elements(cap))
-    if space != "FQ0":
-        return {k: elements for k in degrees}
-    halves = ([w for w in elements if group.parity(w) == 0],
-              [w for w in elements if group.parity(w) == 1])
-    if len(halves[0]) != len(halves[1]):
-        raise RuntimeError(f"{group.ctype}: {len(halves[0])} even and "
-                           f"{len(halves[1])} odd elements")
-    return {k: halves[k % 2] for k in degrees}
-
-
 def build_complex(algebra: ChainAlgebra, space: str,
                   cap: int = DEFAULT_GROUP_CAP) -> ChainComplex:
     """The complex of one space: the group-ring boundary of every degree,
-    tensored with the space's coefficient module."""
-    return _unreduced_complex(algebra, space, cap)
+    with its unit entries eliminated over Z[W] for the group-tensored
+    spaces, tensored with the space's coefficient module."""
+    form = _GroupRingComplex(algebra, space, cap)
+    if form.slots is not None:
+        form.reduce()
+    return form.tensor()
 
 
 def _unreduced_complex(algebra: ChainAlgebra, space: str,
                        cap: int = DEFAULT_GROUP_CAP) -> ChainComplex:
-    """The complex of one space with every basis chain kept."""
-    if space not in SPACES:
-        raise ValueError(f"unknown space {space!r}")
-    group = algebra.group
-    low = 0 if space in ("M", "MW") else 1
-    degrees = list(range(low, group.rank + 1))
-    slots = _coefficient_slots(group, space, degrees, cap)
-    elements = group.reflection_keys + (group.identity,)  # t = -1: identity
-    bases = {k: _basis(algebra, space, k).labels for k in degrees}
-    labels = bases if slots is None else {
-        k: tuple((wi, lab) for wi in range(len(slots[k])) for lab in bases[k])
-        for k in degrees}
-    dims = {k: len(labels[k]) for k in degrees}
-    matrices = {}
-    for k in degrees[1:]:
-        width, prev_width = len(bases[k]), len(bases[k - 1])
-        if slots is not None:
-            index = {w: i for i, w in enumerate(slots[k - 1])}
-        # the right action of each element in the support, as the target
-        # slot of every slot of degree k
-        table: dict = {}
-        matrix = BoundaryMatrix(dims[k - 1], dims[k])
-        entries = matrix.entries
-        for (row, col, t), c in group_ring_boundary(algebra, space,
-                                                    k).items():
-            targets = table.get(t)
-            if targets is None:
-                targets = table[t] = [0] if slots is None else [
-                    index[group.multiply(w, elements[t])] for w in slots[k]]
-            for wi, target in enumerate(targets):
-                key = (target * prev_width + row, wi * width + col)
-                total = entries.get(key, 0) + c
-                if total:
-                    entries[key] = total
-                else:
-                    del entries[key]
-        matrices[k] = matrix
-    return ChainComplex(space, degrees, dims, matrices, labels)
+    """The complex of one space with every basis chain kept: what
+    ``--dump-complex`` writes and the pinned digests fix."""
+    return _GroupRingComplex(algebra, space, cap).tensor()
+
+
+class _GroupRingComplex:
+    """The boundaries of one space over the group ring, before the
+    coefficient module: ``cells[k][col][row] = {element: coeff}`` over
+    the basis positions listed in ``kept``, nonzero coefficients only.
+
+    For the group-tensored spaces an element is its position in the
+    sorted element list, and ``slots[k]`` lists the elements indexing the
+    coefficient copies in degree k.  FP and MW have the trivial module
+    (``slots`` is None) and key their cells by the reflection position t,
+    or -1 for the identity, which the module never reads.
+    """
+
+    def __init__(self, algebra: ChainAlgebra, space: str, cap):
+        if space not in SPACES:
+            raise ValueError(f"unknown space {space!r}")
+        group = self.group = algebra.group
+        self.space = space
+        low = 0 if space in ("M", "MW") else 1
+        self.degrees = list(range(low, group.rank + 1))
+        self.slots = ids = None
+        if space not in ("FP", "MW"):
+            self.elements = sorted(group.enumerate_elements(cap))
+            self.index = {w: i for i, w in enumerate(self.elements)}
+            ids = [self.index[t] for t in group.reflection_keys]
+            ids.append(self.index[group.identity])  # t = -1: identity
+            self.slots = self._coefficient_slots()
+            self._products: dict = {}
+        self.bases = {k: _basis(algebra, space, k).labels
+                      for k in self.degrees}
+        self.kept = {k: list(range(len(self.bases[k])))
+                     for k in self.degrees}
+        self.cells = {}
+        for k in self.degrees[1:]:
+            cols = self.cells[k] = {c: {} for c in self.kept[k]}
+            for (row, col, t), c in group_ring_boundary(algebra, space,
+                                                        k).items():
+                cols[col].setdefault(row, {})[t if ids is None else ids[t]] = c
+
+    def _coefficient_slots(self) -> dict:
+        """Every element in every degree for FQ and M; for FQ0, the
+        elements whose parity is that of the degree."""
+        everything = list(range(len(self.elements)))
+        if self.space != "FQ0":
+            return {k: everything for k in self.degrees}
+        parity = self.group.parity
+        halves = ([i for i, w in enumerate(self.elements) if parity(w) == 0],
+                  [i for i, w in enumerate(self.elements) if parity(w) == 1])
+        if len(halves[0]) != len(halves[1]):
+            raise RuntimeError(f"{self.group.ctype}: {len(halves[0])} even "
+                               f"and {len(halves[1])} odd elements")
+        return {k: halves[k % 2] for k in self.degrees}
+
+    def _product(self, a: int, b: int) -> int:
+        key = (a, b)
+        p = self._products.get(key)
+        if p is None:
+            p = self._products[key] = self.index[self.group.multiply(
+                self.elements[a], self.elements[b])]
+        return p
+
+    # -- reduction over Z[W] ---------------------------------------------
+
+    def reduce(self) -> None:
+        """Eliminate unit entries until none is left."""
+        while True:
+            pivot = self._cheapest_unit()
+            if pivot is None:
+                return
+            self._eliminate(*pivot)
+
+    def _cheapest_unit(self):
+        """The unit entry +-g of least Markowitz cost weighted by support
+        size, (support sum of its column - 1) * (support sum of its row -
+        1), ties to the lowest (degree, col, row); as (degree, col, row,
+        g, sign), or None."""
+        best = None
+        for k, cols in self.cells.items():
+            row_weight: dict = {}
+            col_weight = {}
+            for c, col in cols.items():
+                total = 0
+                for r, entry in col.items():
+                    total += len(entry)
+                    row_weight[r] = row_weight.get(r, 0) + len(entry)
+                col_weight[c] = total
+            for c, col in cols.items():
+                for r, entry in col.items():
+                    if len(entry) == 1:
+                        (g, v), = entry.items()
+                        if v == 1 or v == -1:
+                            key = ((col_weight[c] - 1) * (row_weight[r] - 1),
+                                   k, c, r)
+                            if best is None or key < best[0]:
+                                best = (key, g, v)
+        if best is None:
+            return None
+        (_, k, c, r), g, v = best
+        return k, c, r, g, v
+
+    def _eliminate(self, k: int, c0: int, r0: int, g: int, sign: int):
+        """Remove the pair of basis chains c0 (degree k) and r0 (degree
+        k - 1) at the unit u = sign * g:
+
+            A'[c][r] = A[c][r] - A[c][r0] u^-1 A[c0][r],
+
+        in this order of factors, because columns act on their group slot
+        from the right.  The degree k + 1 boundary loses row c0 and the
+        degree k - 1 boundary loses column r0."""
+        cols = self.cells[k]
+        pivot_col = cols.pop(c0)
+        del pivot_col[r0]
+        product = self._product
+        inverse = self.index[self.group.inverse(self.elements[g])]
+        for col in cols.values():
+            through = col.pop(r0, None)
+            if through is None:
+                continue
+            left = [(product(x, inverse), sign * v)
+                    for x, v in through.items()]
+            for r, right in pivot_col.items():
+                entry = col.setdefault(r, {})
+                for x, v in left:
+                    for y, w in right.items():
+                        z = product(x, y)
+                        total = entry.get(z, 0) - v * w
+                        if total:
+                            entry[z] = total
+                        else:
+                            del entry[z]
+                if not entry:
+                    del col[r]
+        if k + 1 in self.cells:
+            for col in self.cells[k + 1].values():
+                col.pop(c0, None)
+        if k - 1 in self.cells:
+            del self.cells[k - 1][r0]
+        self.kept[k].remove(c0)
+        self.kept[k - 1].remove(r0)
+
+    # -- tensoring with the coefficient module ---------------------------
+
+    def tensor(self) -> ChainComplex:
+        """The integer complex: each kept basis chain once for the trivial
+        module, and once per slot otherwise, with slot w of a column
+        sending each term c g of a cell to slot w g of its row."""
+        slots, kept = self.slots, self.kept
+        labels = {}
+        for k in self.degrees:
+            chains = tuple(self.bases[k][c] for c in kept[k])
+            labels[k] = chains if slots is None else tuple(
+                (wi, lab) for wi in range(len(slots[k])) for lab in chains)
+        dims = {k: len(labels[k]) for k in self.degrees}
+        matrices = {}
+        for k in self.degrees[1:]:
+            width, prev_width = len(kept[k]), len(kept[k - 1])
+            row_of = {r: i for i, r in enumerate(kept[k - 1])}
+            position = None if slots is None else {
+                w: i for i, w in enumerate(slots[k - 1])}
+            table: dict = {}  # element -> target slot of every slot
+            matrix = BoundaryMatrix(dims[k - 1], dims[k])
+            entries = matrix.entries
+            for col, c in enumerate(kept[k]):
+                for r, cell in self.cells[k][c].items():
+                    row = row_of[r]
+                    for g, v in cell.items():
+                        targets = table.get(g)
+                        if targets is None:
+                            targets = table[g] = self._targets(k, g,
+                                                               position)
+                        for wi, target in enumerate(targets):
+                            key = (target * prev_width + row, wi * width + col)
+                            total = entries.get(key, 0) + v
+                            if total:
+                                entries[key] = total
+                            else:
+                                del entries[key]
+            matrices[k] = matrix
+        return ChainComplex(self.space, self.degrees, dims, matrices, labels)
+
+    def _targets(self, k: int, g, position) -> list:
+        """The position of w g among the degree k - 1 slots, for each slot
+        w of degree k; [0] for the trivial module."""
+        if self.slots is None:
+            return [0]
+        multiply, index, elements = (self.group.multiply, self.index,
+                                     self.elements)
+        targets = []
+        for w in self.slots[k]:
+            target = position.get(index[multiply(elements[w], elements[g])])
+            if target is None:
+                raise RuntimeError(
+                    f"{self.space} of {self.group.ctype}: a degree-{k} "
+                    f"boundary entry has an element of parity "
+                    f"{self.group.parity(elements[g])}, which takes the "
+                    f"degree-{k} parity half outside the degree-{k - 1} "
+                    f"half")
+            targets.append(target)
+        return targets
+
 
 
 def build_algebra_complex(algebra: ChainAlgebra) -> ChainComplex:

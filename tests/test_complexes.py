@@ -1,6 +1,9 @@
 """The five chain complexes and the algebra differential."""
 
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -123,6 +126,44 @@ def test_complement_is_torsion_free_with_product_betti(name, betti):
 def test_orbit_complement_dihedral_parity(m, expected):
     groups = homology_of(build_complex(algebra_for(f"I2({m})"), "MW"))
     assert [str(h) for h in groups] == expected
+
+
+PARITY_SCRIPT = """\
+import sys
+import ncphom.complexes as cx
+from ncphom import ChainAlgebra, CoxeterGroup, PartitionLattice
+original = cx.group_ring_boundary
+def with_identity_term(algebra, space, k):
+    out = dict(original(algebra, space, k))
+    out[0, 0, -1] = out.get((0, 0, -1), 0) + 1
+    return out
+cx.group_ring_boundary = with_identity_term
+algebra = ChainAlgebra(PartitionLattice(CoxeterGroup.from_name("A2")))
+print("optimize", sys.flags.optimize)
+try:
+    cx._unreduced_complex(algebra, "FQ0")
+except RuntimeError as err:
+    print("RuntimeError", err)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_parity_half_rejects_an_even_element(flags):
+    """An FQ0 boundary term whose element is even would send the parity
+    half of one degree outside the parity half below; the tensoring loop
+    raises RuntimeError, with and without ``python -O``."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, *flags, "-c", PARITY_SCRIPT],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == f"optimize {len(flags)}"
+    assert lines[1].startswith("RuntimeError FQ0 of A2: a degree-2 "
+                               "boundary entry has an element of parity 0")
 
 
 def test_group_cap_stops_enumeration():
