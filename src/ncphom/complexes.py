@@ -169,14 +169,14 @@ def _unreduced_complex(algebra: ChainAlgebra, space: str,
 
 class _GroupRingComplex:
     """The boundaries of one space over the group ring, before the
-    coefficient module: ``cells[k][col][row] = {element: coeff}`` over
-    the basis positions listed in ``kept``, nonzero coefficients only.
+    coefficient module: ``boundaries[k] = {(row, col, g): coeff}``, with
+    row and col positions in ``chains[k - 1]`` and ``chains[k]``.
 
-    For the group-tensored spaces an element is its position in the
+    For the group-tensored spaces g is an element's position in the
     sorted element list, and ``slots[k]`` lists the elements indexing the
     coefficient copies in degree k.  FP and MW have the trivial module
-    (``slots`` is None) and key their cells by the reflection position t,
-    or -1 for the identity, which the module never reads.
+    (``slots`` is None) and keep the reflection position t, or -1 for
+    the identity, which the module never reads.
     """
 
     def __init__(self, algebra: ChainAlgebra, space: str, cap):
@@ -186,24 +186,21 @@ class _GroupRingComplex:
         self.space = space
         low = 0 if space in ("M", "MW") else 1
         self.degrees = list(range(low, group.rank + 1))
-        self.slots = ids = None
+        self.slots = None
         if space not in ("FP", "MW"):
             self.elements = sorted(group.enumerate_elements(cap))
             self.index = {w: i for i, w in enumerate(self.elements)}
+            self.slots = self._coefficient_slots()
+        self.chains = {k: _basis(algebra, space, k).labels
+                       for k in self.degrees}
+        self.boundaries = {k: group_ring_boundary(algebra, space, k)
+                           for k in self.degrees[1:]}
+        if self.slots is not None:
             ids = [self.index[t] for t in group.reflection_keys]
             ids.append(self.index[group.identity])  # t = -1: identity
-            self.slots = self._coefficient_slots()
-            self._products: dict = {}
-        self.bases = {k: _basis(algebra, space, k).labels
-                      for k in self.degrees}
-        self.kept = {k: list(range(len(self.bases[k])))
-                     for k in self.degrees}
-        self.cells = {}
-        for k in self.degrees[1:]:
-            cols = self.cells[k] = {c: {} for c in self.kept[k]}
-            for (row, col, t), c in group_ring_boundary(algebra, space,
-                                                        k).items():
-                cols[col].setdefault(row, {})[t if ids is None else ids[t]] = c
+            self.boundaries = {
+                k: {(row, col, ids[t]): c for (row, col, t), c in b.items()}
+                for k, b in self.boundaries.items()}
 
     def _coefficient_slots(self) -> dict:
         """Every element in every degree for FQ and M; for FQ0, the
@@ -219,67 +216,62 @@ class _GroupRingComplex:
                                f"and {len(halves[1])} odd elements")
         return {k: halves[k % 2] for k in self.degrees}
 
-    def _product(self, a: int, b: int) -> int:
-        key = (a, b)
-        p = self._products.get(key)
-        if p is None:
-            p = self._products[key] = self.index[self.group.multiply(
-                self.elements[a], self.elements[b])]
-        return p
-
     # -- reduction over Z[W] ---------------------------------------------
 
     def reduce(self) -> None:
-        """Eliminate unit entries until none is left."""
+        """Eliminate unit entries until none is left, then renumber the
+        kept basis chains."""
+        kept = {k: list(range(len(chains)))
+                for k, chains in self.chains.items()}
+        cells = {k: {c: {} for c in kept[k]} for k in self.boundaries}
+        for k, boundary in self.boundaries.items():
+            for (row, col, g), c in boundary.items():
+                cells[k][col].setdefault(row, {})[g] = c
+        products: dict = {}
         while True:
-            pivot = self._cheapest_unit()
+            pivot = _cheapest_unit(cells)
             if pivot is None:
-                return
-            self._eliminate(*pivot)
+                break
+            k, c0, r0, g, sign = pivot
+            self._eliminate(cells[k], c0, r0, g, sign, products)
+            if k + 1 in cells:
+                for col in cells[k + 1].values():
+                    col.pop(c0, None)
+            if k - 1 in cells:
+                del cells[k - 1][r0]
+            kept[k].remove(c0)
+            kept[k - 1].remove(r0)
+        self.chains = {k: tuple(self.chains[k][c] for c in kept[k])
+                       for k in self.degrees}
+        for k, cols in cells.items():
+            row_of = {r: i for i, r in enumerate(kept[k - 1])}
+            self.boundaries[k] = {
+                (row_of[r], col, g): c
+                for col, c0 in enumerate(kept[k])
+                for r, cell in cols[c0].items() for g, c in cell.items()}
 
-    def _cheapest_unit(self):
-        """The unit entry +-g of least Markowitz cost weighted by support
-        size, (support sum of its column - 1) * (support sum of its row -
-        1), ties to the lowest (degree, col, row); as (degree, col, row,
-        g, sign), or None."""
-        best = None
-        for k, cols in self.cells.items():
-            row_weight: dict = {}
-            col_weight = {}
-            for c, col in cols.items():
-                total = 0
-                for r, entry in col.items():
-                    total += len(entry)
-                    row_weight[r] = row_weight.get(r, 0) + len(entry)
-                col_weight[c] = total
-            for c, col in cols.items():
-                for r, entry in col.items():
-                    if len(entry) == 1:
-                        (g, v), = entry.items()
-                        if v == 1 or v == -1:
-                            key = ((col_weight[c] - 1) * (row_weight[r] - 1),
-                                   k, c, r)
-                            if best is None or key < best[0]:
-                                best = (key, g, v)
-        if best is None:
-            return None
-        (_, k, c, r), g, v = best
-        return k, c, r, g, v
-
-    def _eliminate(self, k: int, c0: int, r0: int, g: int, sign: int):
-        """Remove the pair of basis chains c0 (degree k) and r0 (degree
-        k - 1) at the unit u = sign * g:
+    def _eliminate(self, cols: dict, c0: int, r0: int, g: int, sign: int,
+                   products: dict) -> None:
+        """Clear row r0 of one degree's cells by the unit u = sign * g at
+        column c0, and drop that column:
 
             A'[c][r] = A[c][r] - A[c][r0] u^-1 A[c0][r],
 
         in this order of factors, because columns act on their group slot
-        from the right.  The degree k + 1 boundary loses row c0 and the
-        degree k - 1 boundary loses column r0."""
-        cols = self.cells[k]
+        from the right."""
+        elements, index, multiply = (self.elements, self.index,
+                                     self.group.multiply)
+
+        def product(a, b):
+            p = products.get((a, b))
+            if p is None:
+                p = products[a, b] = index[multiply(elements[a],
+                                                    elements[b])]
+            return p
+
         pivot_col = cols.pop(c0)
         del pivot_col[r0]
-        product = self._product
-        inverse = self.index[self.group.inverse(self.elements[g])]
+        inverse = index[self.group.inverse(elements[g])]
         for col in cols.values():
             through = col.pop(r0, None)
             if through is None:
@@ -298,51 +290,38 @@ class _GroupRingComplex:
                             del entry[z]
                 if not entry:
                     del col[r]
-        if k + 1 in self.cells:
-            for col in self.cells[k + 1].values():
-                col.pop(c0, None)
-        if k - 1 in self.cells:
-            del self.cells[k - 1][r0]
-        self.kept[k].remove(c0)
-        self.kept[k - 1].remove(r0)
 
     # -- tensoring with the coefficient module ---------------------------
 
     def tensor(self) -> ChainComplex:
-        """The integer complex: each kept basis chain once for the trivial
+        """The integer complex: each basis chain once for the trivial
         module, and once per slot otherwise, with slot w of a column
         sending each term c g of a cell to slot w g of its row."""
-        slots, kept = self.slots, self.kept
-        labels = {}
-        for k in self.degrees:
-            chains = tuple(self.bases[k][c] for c in kept[k])
-            labels[k] = chains if slots is None else tuple(
-                (wi, lab) for wi in range(len(slots[k])) for lab in chains)
+        slots, chains = self.slots, self.chains
+        labels = chains if slots is None else {
+            k: tuple((wi, lab) for wi in range(len(slots[k]))
+                     for lab in chains[k])
+            for k in self.degrees}
         dims = {k: len(labels[k]) for k in self.degrees}
         matrices = {}
         for k in self.degrees[1:]:
-            width, prev_width = len(kept[k]), len(kept[k - 1])
-            row_of = {r: i for i, r in enumerate(kept[k - 1])}
+            width, prev_width = len(chains[k]), len(chains[k - 1])
             position = None if slots is None else {
                 w: i for i, w in enumerate(slots[k - 1])}
             table: dict = {}  # element -> target slot of every slot
             matrix = BoundaryMatrix(dims[k - 1], dims[k])
             entries = matrix.entries
-            for col, c in enumerate(kept[k]):
-                for r, cell in self.cells[k][c].items():
-                    row = row_of[r]
-                    for g, v in cell.items():
-                        targets = table.get(g)
-                        if targets is None:
-                            targets = table[g] = self._targets(k, g,
-                                                               position)
-                        for wi, target in enumerate(targets):
-                            key = (target * prev_width + row, wi * width + col)
-                            total = entries.get(key, 0) + v
-                            if total:
-                                entries[key] = total
-                            else:
-                                del entries[key]
+            for (row, col, g), c in self.boundaries[k].items():
+                targets = table.get(g)
+                if targets is None:
+                    targets = table[g] = self._targets(k, g, position)
+                for wi, target in enumerate(targets):
+                    key = (target * prev_width + row, wi * width + col)
+                    total = entries.get(key, 0) + c
+                    if total:
+                        entries[key] = total
+                    else:
+                        del entries[key]
             matrices[k] = matrix
         return ChainComplex(self.space, self.degrees, dims, matrices, labels)
 
@@ -366,6 +345,32 @@ class _GroupRingComplex:
             targets.append(target)
         return targets
 
+
+def _cheapest_unit(cells: dict):
+    """The unit entry +-g of least Markowitz cost weighted by support
+    size, (support sum of its column - 1) * (support sum of its row - 1),
+    ties to the lowest (degree, col, row); as (degree, col, row, g, sign),
+    or None."""
+    best = None
+    for k, cols in cells.items():
+        row_weight: dict = {}
+        col_weight = {}
+        for c, col in cols.items():
+            total = 0
+            for r, entry in col.items():
+                total += len(entry)
+                row_weight[r] = row_weight.get(r, 0) + len(entry)
+            col_weight[c] = total
+        for c, col in cols.items():
+            for r, entry in col.items():
+                if len(entry) == 1:
+                    (g, v), = entry.items()
+                    if v == 1 or v == -1:
+                        key = ((col_weight[c] - 1) * (row_weight[r] - 1),
+                               k, c, r, g, v)
+                        if best is None or key < best:
+                            best = key
+    return None if best is None else best[1:]
 
 
 def build_algebra_complex(algebra: ChainAlgebra) -> ChainComplex:
