@@ -8,8 +8,8 @@ import sys
 import pytest
 
 from conftest import algebra_for
-from ncphom import GroupCapExceeded, build_complex, homology_of
-from ncphom import euler_characteristic
+from ncphom import (GroupCapExceeded, build_complex, euler_characteristic,
+                    homology_of)
 from ncphom.complexes import (_unreduced_complex, build_algebra_complex,
                               fibre_support_is_reflections,
                               group_ring_boundary,

@@ -396,8 +396,8 @@ def test_unit_free_scrambled_diagonal():
 def test_pinned_sparse_boundary_ranks(name, space, ranks):
     """Every sparse boundary of these tables has only unit invariant
     factors; the ranks are those of the minimal-pivot elimination that
-    the unit-pivot elimination replaced.  The ranks are those of the
-    complex with every basis chain kept."""
+    the unit-pivot elimination replaced, on the complexes with every
+    basis chain kept."""
     cx = _unreduced_complex(algebra_for(name), space)
     sparse = [cx.matrices[d] for d in cx.degrees[1:]
               if max(cx.matrices[d].rows, cx.matrices[d].cols) > DENSE_LIMIT]
