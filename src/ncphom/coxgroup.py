@@ -5,6 +5,12 @@ ints: positions 0..N-1 are the positive roots rho_1..rho_N in the fixed
 reflection order, position N + k is -rho_{k+1}, and ``w[j]`` is the
 position of w(root j).  Products and inverses are index arithmetic.
 
+``enumerate_elements`` lists the whole group in sorted order and keeps
+the products w s with the simple reflections that its breadth-first
+search forms, as positions in that order.  From them an ``ElementList``
+builds the right-regular table of an element on first use, so the
+group-tensored complexes multiply positions, not permutations.
+
 The simple reflections are permuted once at construction, as read off
 the root closure in ``rootsys`` (or, for I2(m), from the angles of its
 2m roots).  The Coxeter element is their product over the color classes,
@@ -20,6 +26,8 @@ I2(m) reads its lengths off the permutation: rotations have length 2.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 from .rootsys import CoxeterType, RootSystem
 
@@ -171,28 +179,94 @@ class CoxeterGroup:
     # -- enumeration ---------------------------------------------------------
 
     def enumerate_elements(self, cap: int = DEFAULT_GROUP_CAP):
-        """All group elements, by BFS over products with simple
-        reflections; raises GroupCapExceeded if |W| exceeds the cap."""
+        """All group elements in sorted order, as an ``ElementList``, by
+        breadth-first search over products with simple reflections;
+        raises GroupCapExceeded if |W| exceeds the cap."""
         order = self.ctype.group_order
         if cap is not None and order > cap:
             raise GroupCapExceeded(
                 f"|W({self.ctype})| = {order} exceeds the cap {cap}")
-        seen = {self.identity}
-        frontier = [self.identity]
-        while frontier:
-            new = []
-            for w in frontier:
-                for g in self._simples:
-                    img = _compose(w, g)
-                    if img not in seen:
-                        seen.add(img)
-                        new.append(img)
-            frontier = new
-        if len(seen) != order:
+        found = [self.identity]
+        position = {self.identity: 0}
+        parents = [None]
+        steps = [[] for _ in self._simples]
+        for i, w in enumerate(found):  # grows while it is read
+            for s, (g, step) in enumerate(zip(self._simples, steps)):
+                img = _compose(w, g)
+                j = position.get(img)
+                if j is None:
+                    j = position[img] = len(found)
+                    found.append(img)
+                    parents.append((i, s))
+                step.append(j)
+        if len(found) != order:
             raise RuntimeError(
-                f"{self.ctype}: enumerated {len(seen)} elements, "
+                f"{self.ctype}: enumerated {len(found)} elements, "
                 f"expected {order}")
-        return list(seen)
+        by_key = sorted(range(order), key=found.__getitem__)
+        rank = [0] * order
+        for new, old in enumerate(by_key):
+            rank[old] = new
+        return ElementList(
+            [found[old] for old in by_key],
+            [[rank[step[old]] for old in by_key] for step in steps],
+            [None if parents[old] is None
+             else (rank[parents[old][0]], parents[old][1])
+             for old in by_key])
+
+
+class ElementList(Sequence):
+    """The elements of a group in sorted order, multiplied as positions.
+
+    ``steps[s][i]`` is the position of w_i s, for w_i the element at
+    position i and s the simple reflection with index s: the products the
+    breadth-first search formed.  ``right(g)`` is the right-regular table
+    of the element at position g, the position of w_i g for every i.  It
+    is built on first use from the search tree: g = p s with p found
+    before g, so w_i g = (w_i p) s, and g's table is p's table read
+    through ``steps[s]``.  Only the tables asked for and those of their
+    search-tree ancestors are built, never all |W|^2 entries.
+    """
+
+    def __init__(self, elements, steps, parents):
+        self._elements = elements
+        self._position = {w: i for i, w in enumerate(elements)}
+        self.steps = steps
+        self._parents = parents  # None for the identity
+        self._right: dict = {}
+
+    def __len__(self) -> int:
+        return len(self._elements)
+
+    def __getitem__(self, i):
+        return self._elements[i]
+
+    def __iter__(self):
+        return iter(self._elements)
+
+    def __contains__(self, w) -> bool:
+        return w in self._position
+
+    def index(self, w) -> int:
+        """The position of an element."""
+        return self._position[w]
+
+    def inverse(self, g: int) -> int:
+        """The position of the inverse of the element at position g."""
+        return self._position[_invert(self._elements[g])]
+
+    def right(self, g: int) -> list:
+        """The position of w_i g for every position i."""
+        table = self._right.get(g)
+        if table is None:
+            parent = self._parents[g]
+            if parent is None:
+                table = list(range(len(self._elements)))
+            else:
+                p, s = parent
+                table = list(map(self.steps[s].__getitem__, self.right(p)))
+            self._right[g] = table
+        return table
 
 
 def integer_rank(rows) -> int:

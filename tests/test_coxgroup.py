@@ -91,6 +91,34 @@ def test_enumeration_counts_and_cap():
         group_for("B4").enumerate_elements(cap=100)
 
 
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "I2(5)"])
+def test_position_tables_reproduce_multiply_and_inverse(name):
+    """The right-regular table of every element, read as positions in
+    the sorted element list, gives group.multiply for every pair, and
+    the inverse position gives group.inverse."""
+    group = group_for(name)
+    elements = group.enumerate_elements()
+    assert len(elements) == group.ctype.group_order
+    assert list(elements) == sorted(set(elements))
+    for h, y in enumerate(elements):
+        assert elements.index(y) == h
+        assert [elements[p] for p in elements.right(h)] == [
+            group.multiply(x, y) for x in elements]
+        assert elements[elements.inverse(h)] == group.inverse(y)
+
+
+def test_position_tables_are_built_on_demand():
+    """The table of one element builds only those of its search-tree
+    ancestors: at most its Coxeter length plus one tables."""
+    group = group_for("B3")
+    elements = group.enumerate_elements()
+    longest = max(range(len(elements)), key=lambda g: sum(
+        1 for x in elements[g][:group.num_reflections]
+        if x >= group.num_reflections))
+    elements.right(longest)
+    assert len(elements._right) == group.num_reflections + 1
+
+
 def test_enumeration_closed_under_product():
     group = group_for("B2")
     elements = set(group.enumerate_elements())
