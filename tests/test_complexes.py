@@ -367,6 +367,33 @@ def test_complex_matches_pinned_digest(name, space, digest):
         assert _complex_digest(build_complex(algebra, space)) == digest
 
 
+# The reduced complexes as the reduction built them when it multiplied
+# permutation tuples; the position tables must give them entry for entry.
+REDUCED_DIGESTS = [
+    ("A3", "FQ0",
+     "b706e66f1d489cd802fdb868a87e99633887250983efcc6bc9cc37968612e92a"),
+    ("A3", "M",
+     "2ade9a0d8094ab02bc60fdd8b7f76f8f735e856a049f756cd8349abd6ad2ab35"),
+    ("B3", "FQ",
+     "8302711b39439d61cd7228b4c7f720fc2aed24754dee018bc2f58eb97e826882"),
+    ("B3", "M",
+     "6e8c38a514a0b2ad03a447d0ba0dfe3b0ac44a1f658ae3118633f631fc0eea24"),
+    ("I2(5)", "FQ",
+     "18c1fd61061e7212832d96ebb470cba8e95fb3db234982b31a39b3c6c34096bc"),
+    ("A4", "FQ0",
+     "f78c4fc50ff432220d1028bd3535888d23ca1168a7bf554558c334abde0a84ad"),
+    ("D4", "FQ0",
+     "7da5fc83afed1081fc2b939b42e821108d390beddefe36ee2452a3a4827e0eaf"),
+    ("H3", "FQ0",
+     "7941a381426e03a6c0d753c3c7ae881194ce23050541ee0db1c393989b837b49"),
+]
+
+
+@pytest.mark.parametrize("name,space,digest", REDUCED_DIGESTS)
+def test_reduced_complex_matches_pinned_digest(name, space, digest):
+    assert _complex_digest(build_complex(algebra_for(name), space)) == digest
+
+
 REDUCED_TABLES = [(name, space)
                   for name in ("A2", "A3", "B2", "B3", "D3", "I2(5)", "I2(6)")
                   for space in ("FQ", "FQ0", "M")]
