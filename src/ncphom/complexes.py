@@ -58,11 +58,15 @@ modules:
   halves (FQ0).  An entry of even parity would leave the half, and the
   tensoring raises ``RuntimeError``.
 
-The right action is tabulated once per degree for each group element in
-the boundary's support, so the group is multiplied once per slot and
-support element rather than once per matrix entry.  The group-ring form
-also lets the square-is-zero law be checked for groups too large to
-enumerate.
+Group elements are positions in the sorted element list, and every
+product is read from a right-regular table (``ElementList.right`` in
+``coxgroup``): the positions of w g for all w, built on first use from
+the simple-reflection products of the element search.  Tables are built
+only for the right factors: the boundary support, the pivot inverses and
+the elements in pivot columns.  Tensoring reads one table entry per slot,
+and since w -> w g is injective, no two terms of a regular module meet
+in one matrix entry.  The group-ring form also lets the square-is-zero
+law be checked for groups too large to enumerate.
 """
 
 from __future__ import annotations
@@ -188,16 +192,16 @@ class _GroupRingComplex:
         self.degrees = list(range(low, group.rank + 1))
         self.slots = None
         if space not in ("FP", "MW"):
-            self.elements = sorted(group.enumerate_elements(cap))
-            self.index = {w: i for i, w in enumerate(self.elements)}
+            self.elements = group.enumerate_elements(cap)
             self.slots = self._coefficient_slots()
         self.chains = {k: _basis(algebra, space, k).labels
                        for k in self.degrees}
         self.boundaries = {k: group_ring_boundary(algebra, space, k)
                            for k in self.degrees[1:]}
         if self.slots is not None:
-            ids = [self.index[t] for t in group.reflection_keys]
-            ids.append(self.index[group.identity])  # t = -1: identity
+            index = self.elements.index
+            ids = [index(t) for t in group.reflection_keys]
+            ids.append(index(group.identity))  # t = -1: identity
             self.boundaries = {
                 k: {(row, col, ids[t]): c for (row, col, t), c in b.items()}
                 for k, b in self.boundaries.items()}
@@ -227,13 +231,12 @@ class _GroupRingComplex:
         for k, boundary in self.boundaries.items():
             for (row, col, g), c in boundary.items():
                 cells[k][col].setdefault(row, {})[g] = c
-        products: dict = {}
         while True:
             pivot = _cheapest_unit(cells)
             if pivot is None:
                 break
             k, c0, r0, g, sign = pivot
-            self._eliminate(cells[k], c0, r0, g, sign, products)
+            self._eliminate(cells[k], c0, r0, g, sign)
             if k + 1 in cells:
                 for col in cells[k + 1].values():
                     col.pop(c0, None)
@@ -250,39 +253,32 @@ class _GroupRingComplex:
                 for col, c0 in enumerate(kept[k])
                 for r, cell in cols[c0].items() for g, c in cell.items()}
 
-    def _eliminate(self, cols: dict, c0: int, r0: int, g: int, sign: int,
-                   products: dict) -> None:
+    def _eliminate(self, cols: dict, c0: int, r0: int, g: int,
+                   sign: int) -> None:
         """Clear row r0 of one degree's cells by the unit u = sign * g at
         column c0, and drop that column:
 
             A'[c][r] = A[c][r] - A[c][r0] u^-1 A[c0][r],
 
         in this order of factors, because columns act on their group slot
-        from the right."""
-        elements, index, multiply = (self.elements, self.index,
-                                     self.group.multiply)
-
-        def product(a, b):
-            p = products.get((a, b))
-            if p is None:
-                p = products[a, b] = index[multiply(elements[a],
-                                                    elements[b])]
-            return p
-
+        from the right.  Each product x y is read from the right-regular
+        table of y."""
         pivot_col = cols.pop(c0)
         del pivot_col[r0]
-        inverse = index[self.group.inverse(elements[g])]
-        for col in cols.values():
-            through = col.pop(r0, None)
-            if through is None:
-                continue
-            left = [(product(x, inverse), sign * v)
-                    for x, v in through.items()]
-            for r, right in pivot_col.items():
+        crossing = [(col, col.pop(r0)) for col in cols.values() if r0 in col]
+        if not crossing:
+            return
+        right = self.elements.right
+        inverse = right(self.elements.inverse(g))
+        pivot_terms = [(r, [(right(y), w) for y, w in cell.items()])
+                       for r, cell in pivot_col.items()]
+        for col, through in crossing:
+            left = [(inverse[x], sign * v) for x, v in through.items()]
+            for r, terms in pivot_terms:
                 entry = col.setdefault(r, {})
                 for x, v in left:
-                    for y, w in right.items():
-                        z = product(x, y)
+                    for table, w in terms:
+                        z = table[x]
                         total = entry.get(z, 0) - v * w
                         if total:
                             entry[z] = total
@@ -296,7 +292,10 @@ class _GroupRingComplex:
     def tensor(self) -> ChainComplex:
         """The integer complex: each basis chain once for the trivial
         module, and once per slot otherwise, with slot w of a column
-        sending each term c g of a cell to slot w g of its row."""
+        sending each term c g of a cell to slot w g of its row.  Right
+        multiplication by g is injective, so in the regular modules no two
+        terms meet in one entry, and each is written directly; only the
+        trivial module sums."""
         slots, chains = self.slots, self.chains
         labels = chains if slots is None else {
             k: tuple((wi, lab) for wi in range(len(slots[k]))
@@ -305,44 +304,50 @@ class _GroupRingComplex:
         dims = {k: len(labels[k]) for k in self.degrees}
         matrices = {}
         for k in self.degrees[1:]:
-            width, prev_width = len(chains[k]), len(chains[k - 1])
-            position = None if slots is None else {
-                w: i for i, w in enumerate(slots[k - 1])}
-            table: dict = {}  # element -> target slot of every slot
-            matrix = BoundaryMatrix(dims[k - 1], dims[k])
+            matrix = matrices[k] = BoundaryMatrix(dims[k - 1], dims[k])
             entries = matrix.entries
-            for (row, col, g), c in self.boundaries[k].items():
-                targets = table.get(g)
-                if targets is None:
-                    targets = table[g] = self._targets(k, g, position)
-                for wi, target in enumerate(targets):
-                    key = (target * prev_width + row, wi * width + col)
-                    total = entries.get(key, 0) + c
+            if slots is None:
+                for (row, col, _), c in self.boundaries[k].items():
+                    total = entries.get((row, col), 0) + c
                     if total:
-                        entries[key] = total
+                        entries[row, col] = total
                     else:
-                        del entries[key]
-            matrices[k] = matrix
+                        del entries[row, col]
+                continue
+            width, prev_width = len(chains[k]), len(chains[k - 1])
+            offsets = range(0, width * len(slots[k]), width)
+            position = None  # FQ and M: every element is a slot, in order
+            if self.space == "FQ0":
+                position = [None] * len(self.elements)
+                for i, w in enumerate(slots[k - 1]):
+                    position[w] = i
+            table: dict = {}  # element -> first row of every slot's target
+            for (row, col, g), c in self.boundaries[k].items():
+                starts = table.get(g)
+                if starts is None:
+                    starts = table[g] = [
+                        target * prev_width
+                        for target in self._targets(k, g, position)]
+                for start, offset in zip(starts, offsets):
+                    entries[start + row, offset + col] = c
         return ChainComplex(self.space, self.degrees, dims, matrices, labels)
 
-    def _targets(self, k: int, g, position) -> list:
+    def _targets(self, k: int, g: int, position) -> list:
         """The position of w g among the degree k - 1 slots, for each slot
-        w of degree k; [0] for the trivial module."""
-        if self.slots is None:
-            return [0]
-        multiply, index, elements = (self.group.multiply, self.index,
-                                     self.elements)
-        targets = []
-        for w in self.slots[k]:
-            target = position.get(index[multiply(elements[w], elements[g])])
-            if target is None:
-                raise RuntimeError(
-                    f"{self.space} of {self.group.ctype}: a degree-{k} "
-                    f"boundary entry has an element of parity "
-                    f"{self.group.parity(elements[g])}, which takes the "
-                    f"degree-{k} parity half outside the degree-{k - 1} "
-                    f"half")
-            targets.append(target)
+        w of degree k; ``position`` maps an element to its degree k - 1
+        slot (None off the parity half), or is None when every element is
+        a slot."""
+        product = self.elements.right(g)
+        if position is None:
+            return product
+        targets = [position[product[w]] for w in self.slots[k]]
+        if None in targets:
+            raise RuntimeError(
+                f"{self.space} of {self.group.ctype}: a degree-{k} "
+                f"boundary entry has an element of parity "
+                f"{self.group.parity(self.elements[g])}, which takes the "
+                f"degree-{k} parity half outside the degree-{k - 1} "
+                f"half")
         return targets
 
 

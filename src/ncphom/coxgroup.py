@@ -244,9 +244,6 @@ class ElementList(Sequence):
     def __iter__(self):
         return iter(self._elements)
 
-    def __contains__(self, w) -> bool:
-        return w in self._position
-
     def index(self, w) -> int:
         """The position of an element."""
         return self._position[w]
