@@ -132,11 +132,22 @@ def dump_complex(complex_, outdir: str) -> None:
 
 # -- homology command --------------------------------------------------------
 
+def _bad_bound(name: str, value) -> bool:
+    """Report a bound option below 1 on stderr."""
+    if value is not None and value < 1:
+        print(f"error: {name} must be at least 1, got {value}",
+              file=sys.stderr)
+        return True
+    return False
+
+
 def cmd_homology(args) -> int:
     try:
         group, lat, algebra = build_all(args.type)
     except TypeParseError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    if _bad_bound("--group-cap", args.group_cap):
         return 2
     if args.dump_basis is not None and not 0 <= args.dump_basis <= group.rank:
         print(f"error: --dump-basis K must be in 0..{group.rank} for "
@@ -265,9 +276,8 @@ def cmd_verify(args) -> int:
         except TypeParseError as err:
             print(f"error: {err}", file=sys.stderr)
             return 2
-    if args.max_rank is not None and args.max_rank < 1:
-        print(f"error: --max-rank must be at least 1, got {args.max_rank}",
-              file=sys.stderr)
+    if (_bad_bound("--max-rank", args.max_rank)
+            or _bad_bound("--group-cap", args.group_cap)):
         return 2
     text = os.environ.get("NCPHOM_WORKERS", str(os.cpu_count() or 1))
     workers = int(text) if text.strip().isdecimal() else 0
@@ -318,7 +328,8 @@ def make_parser() -> argparse.ArgumentParser:
     hom.add_argument("--format", choices=("text", "json", "csv"),
                      default="text")
     hom.add_argument("--group-cap", type=int, default=DEFAULT_GROUP_CAP,
-                     help="refuse to enumerate groups larger than this")
+                     help="refuse to enumerate groups larger than this "
+                          "(at least 1)")
     hom.add_argument("--dump-lattice", metavar="PATH",
                      help="write the lattice (elements, ranks, labelled "
                           "covers) as JSON to PATH")
@@ -345,7 +356,9 @@ def make_parser() -> argparse.ArgumentParser:
     ver.add_argument("--max-rank", type=int,
                      help="rank bound (at least 1) for the default "
                           "selections")
-    ver.add_argument("--group-cap", type=int, default=DEFAULT_GROUP_CAP)
+    ver.add_argument("--group-cap", type=int, default=DEFAULT_GROUP_CAP,
+                     help="skip tables whose group is larger than this "
+                          "(at least 1)")
     ver.add_argument("--seed", type=int, default=0,
                      help="seed for randomized invariants")
     ver.set_defaults(fn=cmd_verify)

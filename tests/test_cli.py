@@ -82,6 +82,14 @@ def test_group_cap_exits_3(capsys):
     assert "384" in err and "100" in err
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_homology_rejects_group_cap_below_one(capsys, cap):
+    code, out, err = run(capsys, "homology", "A3", "FQ", "--group-cap", cap)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --group-cap must be at least 1, got {cap}\n"
+
+
 def test_bad_arguments_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["homology", "A3", "XX"])
@@ -274,6 +282,16 @@ def test_verify_rejects_max_rank_below_one(capsys, suite, bound):
     assert code == 2
     assert out == ""
     assert err == f"error: --max-rank must be at least 1, got {bound}\n"
+
+
+@pytest.mark.parametrize("suite", ["tables", "invariants", "all"])
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_verify_rejects_group_cap_below_one(capsys, suite, cap):
+    code, out, err = run(capsys, "verify", suite, "--type", "A3",
+                         "--space", "FQ0", "--group-cap", cap)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --group-cap must be at least 1, got {cap}\n"
 
 
 def test_verify_reports_mismatch(capsys, monkeypatch):
