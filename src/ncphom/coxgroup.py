@@ -225,7 +225,7 @@ class ElementList(Sequence):
     is built on first use from the search tree: g = p s with p found
     before g, so w_i g = (w_i p) s, and g's table is p's table read
     through ``steps[s]``.  Only the tables asked for and those of their
-    search-tree ancestors are built, never all |W|^2 entries.
+    search-tree ancestors are built, never all |W|^2 entries up front.
     """
 
     def __init__(self, elements, steps, parents):
