@@ -188,7 +188,7 @@ class CoxeterGroup:
                 f"|W({self.ctype})| = {order} exceeds the cap {cap}")
         found = [self.identity]
         position = {self.identity: 0}
-        parents = [None]
+        last = [None]  # the s by which the search first reached each w
         steps = [[] for _ in self._simples]
         for i, w in enumerate(found):  # grows while it is read
             for s, (g, step) in enumerate(zip(self._simples, steps)):
@@ -197,7 +197,7 @@ class CoxeterGroup:
                 if j is None:
                     j = position[img] = len(found)
                     found.append(img)
-                    parents.append((i, s))
+                    last.append(s)
                 step.append(j)
         if len(found) != order:
             raise RuntimeError(
@@ -207,12 +207,12 @@ class CoxeterGroup:
         rank = [0] * order
         for new, old in enumerate(by_key):
             rank[old] = new
-        return ElementList(
-            [found[old] for old in by_key],
-            [[rank[step[old]] for old in by_key] for step in steps],
-            [None if parents[old] is None
-             else (rank[parents[old][0]], parents[old][1])
-             for old in by_key])
+        for w, old in position.items():
+            position[w] = rank[old]
+        for step in steps:
+            step[:] = [rank[step[old]] for old in by_key]
+        return ElementList([found[old] for old in by_key], position, steps,
+                           [last[old] for old in by_key])
 
 
 class ElementList(Sequence):
@@ -222,17 +222,18 @@ class ElementList(Sequence):
     position i and s the simple reflection with index s: the products the
     breadth-first search formed.  ``right(g)`` is the right-regular table
     of the element at position g, the position of w_i g for every i.  It
-    is built on first use from the search tree: g = p s with p found
-    before g, so w_i g = (w_i p) s, and g's table is p's table read
-    through ``steps[s]``.  Only the tables asked for and those of their
-    search-tree ancestors are built, never all |W|^2 entries up front.
+    is built on first use from the search tree: the search first reached
+    g as p s, so p = g s is ``steps[s][g]``, w_i g = (w_i p) s, and g's
+    table is p's table read through ``steps[s]``.  Only the tables asked
+    for and those of their search-tree ancestors are built, never all
+    |W|^2 entries up front.
     """
 
-    def __init__(self, elements, steps, parents):
+    def __init__(self, elements, position, steps, last):
         self._elements = elements
-        self._position = {w: i for i, w in enumerate(elements)}
+        self._position = position
         self.steps = steps
-        self._parents = parents  # None for the identity
+        self._last = last  # None for the identity
         self._right: dict = {}
 
     def __len__(self) -> int:
@@ -256,12 +257,12 @@ class ElementList(Sequence):
         """The position of w_i g for every position i."""
         table = self._right.get(g)
         if table is None:
-            parent = self._parents[g]
-            if parent is None:
+            s = self._last[g]
+            if s is None:
                 table = list(range(len(self._elements)))
             else:
-                p, s = parent
-                table = list(map(self.steps[s].__getitem__, self.right(p)))
+                step = self.steps[s]
+                table = list(map(step.__getitem__, self.right(step[g])))
             self._right[g] = table
         return table
 
