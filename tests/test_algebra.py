@@ -283,3 +283,37 @@ def test_sparse_coordinate_wrappers_agree():
         assert coords and all(coords.values())
         assert chain_sum(*((basis.expansions[p], c)
                            for p, c in coords.items())) == chain
+
+
+FP_COORD_TYPES = ["A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "D4",
+                  "D5", "F4", "H3", "H4", "I2(5)", "I2(8)"]
+
+
+@pytest.mark.parametrize("name", FP_COORD_TYPES)
+def test_cycle_coords_match_the_peel_on_every_fp_request(name):
+    """Every coordinate request of the FP boundary assembly, answered by
+    ``cycle_coords``, equals the peel of the whole interval cycle against
+    the whole cycle basis one degree down."""
+    algebra = algebra_for(name)
+    lat = algebra.lat
+    requests = 0
+    for k in range(2, algebra.group.rank + 1):
+        basis = algebra.cycle_basis(k - 1)
+        for label in lat.rank_prefix_basis(k - 1):
+            for i in range(k):
+                seq = algebra.deleted_conjugate(label, i)
+                assert algebra.cycle_coords(seq, k - 1) == \
+                    algebra.coords_in_basis(algebra.interval_cycle(seq),
+                                            basis)
+                requests += 1
+    assert requests
+
+
+def test_cycle_coords_reject_a_chain_whose_maximal_key_is_not_leading():
+    """{(0,): 1} has maximal key (0,), and no rank-prefix label of the A3
+    degree-2 cycle basis starts with reflection 0."""
+    algebra = algebra_for("A3")
+    basis = algebra.cycle_basis(2)
+    assert (0,) not in basis.max_key_to_pos
+    with pytest.raises(ValueError, match="not in span"):
+        algebra.coords_in_basis({(0,): 1}, basis)
