@@ -17,14 +17,34 @@ positions) to nonzero integers.  The central constructions:
 - ``shuffle_product``: the signed shuffle with braid-lifted crossings; the
   product of two single-entry chains recovers alternating_chain of the pair,
 - ``reduced_product``: shuffle followed by projection onto keys that are
-  reduced with product inside the lattice (the algebra multiplication),
-- ``coords_in_basis``: exact sparse integer coordinates by
-  lex-maximal-key peeling against a unitriangular basis.
+  reduced with product inside the lattice (the algebra multiplication).
+
+Every basis is unitriangular: each expansion has its lex-maximal key,
+the basis entry's leading key, with coefficient 1, and the leading keys
+are distinct.  Coordinates in such a basis are found by one of two
+routes:
+
+- ``coords_in_basis``, the peel: repeatedly take the residual's maximal
+  key, look up the entry leading there and subtract its whole expansion.
+  It raises on any chain outside the span.  The full bases (M, MW) use
+  it, and so do the span-equality invariant and the tests, as the check
+  of the other route.
+- ``leading_coords``, the triangular solve: a cycle basis also keeps each
+  expansion restricted to the leading keys, a unitriangular matrix.  The
+  chain is read at the leading keys only and back-substituted in
+  descending key order.  The fibre coordinates (``cycle_coords``, for FP,
+  FQ and FQ0) use it.  It trusts the chain to lie in the span and only
+  rejects one whose maximal key is not a leading key.
+
+The top-degree cycle basis only labels the columns of the top boundary,
+so the complexes read its labels from ``cycle_labels`` and never expand
+it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .lattice import PartitionLattice
 
@@ -57,6 +77,7 @@ class ChainAlgebra:
         self._product_memo: dict = {}
         self._full_basis_memo: dict = {}
         self._cycle_basis_memo: dict = {}
+        self._cycle_labels_memo: dict = {}
         self._coords_memo: dict = {}
 
     def _conj(self, i: int, j: int) -> int:
@@ -185,16 +206,30 @@ class ChainAlgebra:
         self._full_basis_memo[k] = out
         return out
 
+    def cycle_labels(self, k: int) -> tuple:
+        """Labels of the degree-k cycle basis, the rank-prefix sequences
+        of length k, without their expansions."""
+        out = self._cycle_labels_memo.get(k)
+        if out is None:
+            out = self._cycle_labels_memo[k] = self.lat.rank_prefix_basis(
+                k - 1)
+        return out
+
     def cycle_basis(self, k: int) -> "GradedBasis":
         """Basis of the truncation image in degree k - 1: cycles of the
-        rank-prefix sequences, whose maximal key drops the final entry."""
+        rank-prefix sequences, whose maximal key drops the final entry.
+        Each expansion is also kept at the leading keys of the others."""
         out = self._cycle_basis_memo.get(k)
         if out is not None:
             return out
-        labels = self.lat.rank_prefix_basis(k - 1)
+        labels = self.cycle_labels(k)
         expansions = tuple(self.interval_cycle(s) for s in labels)
-        out = GradedBasis(k, tuple(labels), expansions,
-                          {s[:-1]: p for p, s in enumerate(labels)})
+        max_key_to_pos = {s[:-1]: p for p, s in enumerate(labels)}
+        leading = tuple(
+            tuple((q, c) for key, c in expansion.items()
+                  if (q := max_key_to_pos.get(key)) is not None and q != p)
+            for p, expansion in enumerate(expansions))
+        out = GradedBasis(k, labels, expansions, max_key_to_pos, leading)
         self._cycle_basis_memo[k] = out
         return out
 
@@ -204,7 +239,7 @@ class ChainAlgebra:
         key = ("cycle", tuple(seq), degree)
         out = self._coords_memo.get(key)
         if out is None:
-            out = self._coords_memo[key] = self.coords_in_basis(
+            out = self._coords_memo[key] = self.leading_coords(
                 self.interval_cycle(seq), self.cycle_basis(degree))
         return out
 
@@ -220,7 +255,8 @@ class ChainAlgebra:
 
     def coords_in_basis(self, chain: Chain, basis: "GradedBasis"):
         """Exact sparse coordinates {position: coeff} of a chain in a
-        unitriangular basis."""
+        unitriangular basis, by peeling whole expansions; raises
+        ``ValueError`` on any chain outside the span."""
         residual = dict(chain)
         coords = {}
         while residual:
@@ -234,16 +270,54 @@ class ChainAlgebra:
                 add_into(residual, bkey, -c * bc)
         return coords
 
+    def leading_coords(self, chain: Chain, basis: "GradedBasis"):
+        """Sparse coordinates {position: coeff} of a chain in the span of
+        a cycle basis, by back-substitution on the leading keys: the
+        chain is read at those keys only, and positions are solved from
+        the highest down, since each entry's restricted expansion reaches
+        only lower positions.  Raises ``ValueError`` when the chain's
+        maximal key is not a leading key; other chains outside the span
+        are not detected."""
+        pos_of = basis.max_key_to_pos
+        if chain and max(chain) not in pos_of:
+            raise ValueError(f"chain not in span: stuck at key {max(chain)}")
+        residual = {}
+        for key, c in chain.items():
+            pos = pos_of.get(key)
+            if pos is not None:
+                residual[pos] = c
+        todo = [-pos for pos in residual]
+        heapify(todo)
+        coords = {}
+        while todo:
+            pos = -heappop(todo)
+            c = residual.pop(pos)
+            if not c:
+                continue
+            coords[pos] = c
+            for q, bc in basis.leading[pos]:
+                old = residual.get(q)
+                if old is None:
+                    residual[q] = -c * bc
+                    heappush(todo, -q)
+                else:
+                    residual[q] = old - c * bc
+        return coords
+
 
 @dataclass(frozen=True)
 class GradedBasis:
     """An ordered unitriangular basis of one graded piece.
 
-    ``max_key_to_pos`` sends the lex-maximal expansion key of each entry to
-    its position; peeling against it solves coordinates exactly.
+    ``max_key_to_pos`` sends the lex-maximal expansion key of each entry
+    (its leading key) to its position; peeling against it solves
+    coordinates exactly.  For a cycle basis, ``leading[p]`` is expansion
+    p at the other entries' leading keys, as (position, coeff) pairs, all
+    below p; full bases leave it None.
     """
 
     degree: int
     labels: tuple
     expansions: tuple
     max_key_to_pos: dict
+    leading: tuple | None = None

@@ -102,11 +102,12 @@ class ChainComplex:
                                      f"after boundary {d} is not zero")
 
 
-def _basis(algebra: ChainAlgebra, space: str, k: int):
-    """Cycle bases for the fibres, full bases for the complements."""
+def _labels(algebra: ChainAlgebra, space: str, k: int) -> tuple:
+    """Labels of the degree-k basis: the cycle basis for the fibres, the
+    full basis for the complements."""
     if space in ("FP", "FQ", "FQ0"):
-        return algebra.cycle_basis(k)
-    return algebra.full_basis(k)
+        return algebra.cycle_labels(k)
+    return algebra.full_basis(k).labels
 
 
 def group_ring_boundary(algebra: ChainAlgebra, space: str, k: int) -> dict:
@@ -125,7 +126,7 @@ def group_ring_boundary(algebra: ChainAlgebra, space: str, k: int) -> dict:
     fibre = space in ("FP", "FQ", "FQ0")
     coords_of = algebra.cycle_coords if fibre else algebra.chain_coords
     acc: dict = {}
-    for col, label in enumerate(_basis(algebra, space, k).labels):
+    for col, label in enumerate(_labels(algebra, space, k)):
         for i in range(k):
             sign = -1 if i % 2 else 1
             t = label[i]
@@ -194,8 +195,7 @@ class _GroupRingComplex:
         if space not in ("FP", "MW"):
             self.elements = group.enumerate_elements(cap)
             self.slots = self._coefficient_slots()
-        self.chains = {k: _basis(algebra, space, k).labels
-                       for k in self.degrees}
+        self.chains = {k: _labels(algebra, space, k) for k in self.degrees}
         self.boundaries = {k: group_ring_boundary(algebra, space, k)
                            for k in self.degrees[1:]}
         if self.slots is not None:
@@ -360,21 +360,22 @@ def _cheapest_unit(cells: dict):
     for k, cols in cells.items():
         row_weight: dict = {}
         col_weight = {}
+        units = []  # the unit cells, collected while weighing
         for c, col in cols.items():
             total = 0
             for r, entry in col.items():
-                total += len(entry)
-                row_weight[r] = row_weight.get(r, 0) + len(entry)
-            col_weight[c] = total
-        for c, col in cols.items():
-            for r, entry in col.items():
-                if len(entry) == 1:
+                size = len(entry)
+                total += size
+                row_weight[r] = row_weight.get(r, 0) + size
+                if size == 1:
                     (g, v), = entry.items()
                     if v == 1 or v == -1:
-                        key = ((col_weight[c] - 1) * (row_weight[r] - 1),
-                               k, c, r, g, v)
-                        if best is None or key < best:
-                            best = key
+                        units.append((c, r, g, v))
+            col_weight[c] = total
+        for c, r, g, v in units:
+            key = ((col_weight[c] - 1) * (row_weight[r] - 1), k, c, r, g, v)
+            if best is None or key < best:
+                best = key
     return None if best is None else best[1:]
 
 

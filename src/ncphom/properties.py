@@ -167,12 +167,24 @@ def check_quadratic_relations(algebra: ChainAlgebra, rng) -> str:
 
 
 def check_unitriangular(algebra: ChainAlgebra, rng) -> str:
+    """Each full basis chain has its label as maximal key, and each cycle
+    basis expansion its label less the last entry, with coefficient 1:
+    the shape both the peel and the triangular solve rely on."""
+    n = algebra.group.rank
+    bases = [(algebra.full_basis(k), lambda label: label)
+             for k in range(n + 1)]
+    bases += [(algebra.cycle_basis(k), lambda label: label[:-1])
+              for k in range(1, n + 1)]
     entries = 0
-    for k in range(algebra.group.rank + 1):
-        basis = algebra.full_basis(k)
+    for basis, lead in bases:
+        _require(len(basis.max_key_to_pos) == len(basis.labels),
+                 ("leading keys repeat", basis.degree))
         for label, expansion in zip(basis.labels, basis.expansions):
-            _require(max(expansion) == label, ("maximal key moved", label))
-            _require(expansion[label] == 1, ("leading coefficient", label))
+            key = lead(label)
+            _require(max(expansion) == key,
+                     ("maximal key moved", basis.degree, label))
+            _require(expansion[key] == 1,
+                     ("leading coefficient", basis.degree, label))
             entries += 1
     return f"{entries} basis chains"
 

@@ -309,11 +309,34 @@ def test_cycle_coords_match_the_peel_on_every_fp_request(name):
     assert requests
 
 
-def test_cycle_coords_reject_a_chain_whose_maximal_key_is_not_leading():
-    """{(0,): 1} has maximal key (0,), and no rank-prefix label of the A3
-    degree-2 cycle basis starts with reflection 0."""
+@pytest.mark.parametrize("route", ["coords_in_basis", "leading_coords"])
+def test_cycle_coords_reject_a_chain_whose_maximal_key_is_not_leading(
+        route):
+    """The leading keys of the A3 degree-3 cycle basis are (2, 1), (3, 2),
+    (4, 2), (4, 3) and (5, 4); a chain whose maximal key is (5, 3) or
+    (2, 0) is outside the span, with or without leading keys below it."""
     algebra = algebra_for("A3")
-    basis = algebra.cycle_basis(2)
-    assert (0,) not in basis.max_key_to_pos
-    with pytest.raises(ValueError, match="not in span"):
-        algebra.coords_in_basis({(0,): 1}, basis)
+    basis = algebra.cycle_basis(3)
+    assert sorted(basis.max_key_to_pos) == [
+        (2, 1), (3, 2), (4, 2), (4, 3), (5, 4)]
+    solve = getattr(algebra, route)
+    for chain in ({(5, 3): 1}, {(4, 2): 1, (5, 3): -2}, {(2, 0): 1}):
+        with pytest.raises(ValueError, match="not in span"):
+            solve(chain, basis)
+
+
+def test_leading_restriction_is_the_expansion_at_the_leading_keys():
+    """Each cycle basis keeps every expansion at the other entries'
+    leading keys, all of them at lower positions."""
+    algebra = algebra_for("B3")
+    for k in range(1, 4):
+        basis = algebra.cycle_basis(k)
+        assert basis.labels == algebra.cycle_labels(k)
+        for p, (label, expansion) in enumerate(zip(basis.labels,
+                                                   basis.expansions)):
+            expected = {basis.max_key_to_pos[key]: c
+                        for key, c in expansion.items()
+                        if key in basis.max_key_to_pos and key != label[:-1]}
+            assert dict(basis.leading[p]) == expected
+            assert all(q < p for q in expected)
+    assert algebra.full_basis(2).leading is None

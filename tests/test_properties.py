@@ -47,3 +47,40 @@ def test_span_check_fails_on_chain_outside_the_span(flags):
         "span check raised AssertionError",
         "chain_coords raised: chain not in span",
     ]
+
+
+# A fresh A3 algebra whose interval cycle of one degree-2 cycle basis
+# label is doubled, so that expansion's leading coefficient is 2: the
+# triangular solve would misread every chain through it, and the
+# unitriangular check must fail, with and without -O.
+UNITRIANGULAR_SCRIPT = textwrap.dedent("""\
+    import random
+    import sys
+    from ncphom import ChainAlgebra, CoxeterGroup, PartitionLattice
+    from ncphom.properties import check_unitriangular
+    print("optimize", sys.flags.optimize)
+    algebra = ChainAlgebra(PartitionLattice(CoxeterGroup.from_name("A3")))
+    bad = algebra.cycle_labels(2)[1]
+    original = algebra.interval_cycle
+    algebra.interval_cycle = lambda seq: (
+        {key: 2 * c for key, c in original(seq).items()}
+        if tuple(seq) == bad else original(seq))
+    try:
+        check_unitriangular(algebra, random.Random(0))
+    except AssertionError as err:
+        print("unitriangular check raised:", err.args[0][0])
+""")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_unitriangular_check_covers_the_cycle_bases(flags):
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, *flags, "-c",
+                          UNITRIANGULAR_SCRIPT],
+                         capture_output=True, text=True, timeout=60,
+                         env={"PYTHONPATH": str(src)})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        f"optimize {len(flags)}",
+        "unitriangular check raised: leading coefficient",
+    ]
