@@ -310,7 +310,7 @@ def test_cycle_coords_match_the_peel_on_every_fp_request(name):
 
 
 @pytest.mark.parametrize("route", ["coords_in_basis", "leading_coords"])
-def test_cycle_coords_reject_a_chain_whose_maximal_key_is_not_leading(
+def test_both_routes_reject_a_chain_whose_maximal_key_is_not_leading(
         route):
     """The leading keys of the A3 degree-3 cycle basis are (2, 1), (3, 2),
     (4, 2), (4, 3) and (5, 4); a chain whose maximal key is (5, 3) or
