@@ -309,6 +309,40 @@ def test_cycle_coords_match_the_peel_on_every_fp_request(name):
     assert requests
 
 
+@pytest.mark.parametrize("name", FP_COORD_TYPES)
+def test_chain_coords_match_the_peel_on_every_complement_request(name):
+    """Every coordinate request of the M and MW boundary assembly, the
+    conjugating and the plain deletions of each full basis label,
+    answered by ``chain_coords``, equals the peel of the whole
+    alternating chain against the whole full basis one degree down."""
+    algebra = algebra_for(name)
+    requests = 0
+    for k in range(1, algebra.group.rank + 1):
+        basis = algebra.full_basis(k - 1)
+        for label in algebra.full_basis(k).labels:
+            for i in range(k):
+                for seq in (algebra.deleted_conjugate(label, i),
+                            label[:i] + label[i + 1:]):
+                    assert algebra.chain_coords(seq, k - 1) == \
+                        algebra.coords_in_basis(
+                            algebra.alternating_chain(seq), basis)
+                    requests += 1
+    assert requests
+
+
+@pytest.mark.parametrize("name", FP_COORD_TYPES + ["A1", "E6"])
+def test_dropping_an_entry_of_a_full_basis_label_gives_a_label(name):
+    """A decreasing factorization of w <= gamma less any one entry is a
+    decreasing factorization one rank down: Hurwitz moves carry the entry
+    to the end, so the rest is a reduced prefix of w."""
+    algebra = algebra_for(name)
+    for k in range(1, algebra.group.rank + 1):
+        below = set(algebra.full_basis(k - 1).labels)
+        for label in algebra.full_basis(k).labels:
+            for i in range(k):
+                assert label[:i] + label[i + 1:] in below
+
+
 @pytest.mark.parametrize("route", ["coords_in_basis", "leading_coords"])
 def test_both_routes_reject_a_chain_whose_maximal_key_is_not_leading(
         route):

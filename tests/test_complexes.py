@@ -266,8 +266,10 @@ def test_fibre_boundary_support_is_reflections():
 # SHA-256 of (name, degrees, dims, labels, sorted entries) per unreduced
 # complex, as built by the per-space assemblers that preceded the single
 # group-ring assembly; any change to a basis, a label or an entry changes
-# the digest.  FP and MW have the trivial module, so ``build_complex``
-# returns the unreduced complex for them and must match too.
+# the digest.  The F4 and H4 MW digests were taken later, from the
+# group-ring assembly with every coordinate solved by the peel.  FP and
+# MW have the trivial module, so ``build_complex`` returns the unreduced
+# complex for them and must match too.
 PINNED_DIGESTS = [
     ("A2", "FP",
      "4c05211bfbee5aff5ee9b0e1c8ec62ba3118408aac227b0595c4033be6c71fb8"),
@@ -347,6 +349,10 @@ PINNED_DIGESTS = [
      "e61d9adecd65e1c2cad073367bda97eb8bd37e9c3e635af7efdd1e9bb5c23b6e"),
     ("H3", "MW",
      "984235ec7fe7d9945f24f91ec299dad68f503b53f16300f5301914aeebff1a2d"),
+    ("F4", "MW",
+     "28965432d3b032d357600d51b1e9ef1b0d944bc0c7cea73f5f95cc6e64518b4e"),
+    ("H4", "MW",
+     "0060c3ec86d6c995e431d77fa7b4122c50472d3a3212d8fae3307db46695f9f8"),
 ]
 
 

@@ -10,6 +10,7 @@ scrambled by unimodular operations for shapes on both sides of
 matrix dense.
 """
 
+import os
 import random
 import subprocess
 import sys
@@ -293,7 +294,7 @@ def test_answer_checks_survive_python_dash_o():
     src = Path(__file__).resolve().parent.parent / "src"
     out = subprocess.run([sys.executable, "-O", "-c", script],
                          capture_output=True, text=True, timeout=60,
-                         env={"PYTHONPATH": str(src)})
+                         env=dict(os.environ, PYTHONPATH=str(src)))
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["raised"] * 6
 

@@ -1,6 +1,7 @@
 """The noncrossing partition lattice: sizes, order, factorizations,
 chains, and Moebius values."""
 
+import os
 import subprocess
 import sys
 import textwrap
@@ -239,7 +240,7 @@ def test_lattice_checks_raise_under_optimize():
     src = Path(__file__).resolve().parent.parent / "src"
     out = subprocess.run([sys.executable, "-O", "-c", script],
                          capture_output=True, text=True, timeout=60,
-                         env={"PYTHONPATH": str(src)})
+                         env=dict(os.environ, PYTHONPATH=str(src)))
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == [
         "optimize 1",
