@@ -21,24 +21,24 @@ positions) to nonzero integers.  The central constructions:
 
 Every basis is unitriangular: each expansion has its lex-maximal key,
 the basis entry's leading key, with coefficient 1, and the leading keys
-are distinct.  Coordinates in such a basis are found by one of two
-routes:
+are distinct.  A basis also keeps each expansion restricted to the
+leading keys, a unitriangular matrix, and coordinates are found by one
+solve:
 
-- ``coords_in_basis``, the peel: repeatedly take the residual's maximal
-  key, look up the entry leading there and subtract its whole expansion.
-  It raises on any chain outside the span.  The full bases (M, MW) use
-  it, and so do the span-equality invariant and the tests, as the check
-  of the other route.
-- ``leading_coords``, the triangular solve: a cycle basis also keeps each
-  expansion restricted to the leading keys, a unitriangular matrix.  The
-  chain is read at the leading keys only and back-substituted in
-  descending key order.  The fibre coordinates (``cycle_coords``, for FP,
-  FQ and FQ0) use it.  It trusts the chain to lie in the span and only
-  rejects one whose maximal key is not a leading key.
+- ``leading_coords``, the triangular solve: the chain is read at the
+  leading keys only and back-substituted in descending key order.  Both
+  ``cycle_coords`` (FP, FQ, FQ0) and ``chain_coords`` (M, MW) use it.  It
+  trusts the chain to lie in the span and only rejects one whose maximal
+  key is not a leading key.
+- ``coords_in_basis``, the peel, is the check: repeatedly take the
+  residual's maximal key, look up the entry leading there and subtract
+  its whole expansion.  It reads every key and raises on any chain
+  outside the span.  Only the span-equality invariant and the tests call
+  it.
 
-The top-degree cycle basis only labels the columns of the top boundary,
-so the complexes read its labels from ``cycle_labels`` and never expand
-it.
+Where only the labels of a basis are read (the top degree of every
+space, the plain deletions, the algebra complex), they come from
+``labels``, and no expansion is built.
 """
 
 from __future__ import annotations
@@ -75,9 +75,8 @@ class ChainAlgebra:
         self.group = lat.group
         self._beta_memo: dict = {(): {(): 1}}
         self._product_memo: dict = {}
-        self._full_basis_memo: dict = {}
-        self._cycle_basis_memo: dict = {}
-        self._cycle_labels_memo: dict = {}
+        self._labels_memo: dict = {}
+        self._basis_memo: dict = {}
         self._coords_memo: dict = {}
 
     def _conj(self, i: int, j: int) -> int:
@@ -190,67 +189,66 @@ class ChainAlgebra:
 
     # -- bases ---------------------------------------------------------------
 
-    def full_basis(self, k: int) -> "GradedBasis":
-        """Basis of the degree-k algebra component: the antisymmetrized
-        chains of all decreasing factorizations at rank k, lex order."""
-        out = self._full_basis_memo.get(k)
-        if out is not None:
-            return out
-        labels = sorted(
-            seq
-            for wid in self.lat.rank_row(k)
-            for seq in self.lat.decreasing_factorizations(wid))
-        expansions = tuple(self.alternating_chain(s) for s in labels)
-        out = GradedBasis(k, tuple(labels), expansions,
-                          {s: p for p, s in enumerate(labels)})
-        self._full_basis_memo[k] = out
+    def labels(self, k: int, fibre: bool) -> tuple:
+        """Labels of the degree-k basis, lex order, without expansions:
+        the rank-prefix sequences of length k for a cycle (fibre) basis,
+        the decreasing factorizations at rank k for a full basis."""
+        out = self._labels_memo.get((k, fibre))
+        if out is None:
+            out = self._labels_memo[k, fibre] = (
+                self.lat.rank_prefix_basis(k - 1) if fibre else tuple(sorted(
+                    seq for wid in self.lat.rank_row(k)
+                    for seq in self.lat.decreasing_factorizations(wid))))
         return out
 
-    def cycle_labels(self, k: int) -> tuple:
-        """Labels of the degree-k cycle basis, the rank-prefix sequences
-        of length k, without their expansions."""
-        out = self._cycle_labels_memo.get(k)
-        if out is None:
-            out = self._cycle_labels_memo[k] = self.lat.rank_prefix_basis(
-                k - 1)
-        return out
+    def full_basis(self, k: int) -> "GradedBasis":
+        """Basis of the degree-k algebra component: the antisymmetrized
+        chains of all decreasing factorizations at rank k."""
+        return self._basis(k, False)
 
     def cycle_basis(self, k: int) -> "GradedBasis":
         """Basis of the truncation image in degree k - 1: cycles of the
-        rank-prefix sequences, whose maximal key drops the final entry.
-        Each expansion is also kept at the leading keys of the others."""
-        out = self._cycle_basis_memo.get(k)
+        rank-prefix sequences, whose maximal key drops the final entry."""
+        return self._basis(k, True)
+
+    def _basis(self, k: int, fibre: bool) -> "GradedBasis":
+        """The degree-k basis of either kind, each expansion also kept at
+        the leading keys of the others.  An expansion's leading key is its
+        label cut to the chain degree of the expansion."""
+        out = self._basis_memo.get((k, fibre))
         if out is not None:
             return out
-        labels = self.cycle_labels(k)
-        expansions = tuple(self.interval_cycle(s) for s in labels)
-        max_key_to_pos = {s[:-1]: p for p, s in enumerate(labels)}
+        labels = self.labels(k, fibre)
+        expand = self.interval_cycle if fibre else self.alternating_chain
+        expansions = tuple(expand(s) for s in labels)
+        width = k - 1 if fibre else k
+        max_key_to_pos = {s[:width]: p for p, s in enumerate(labels)}
         leading = tuple(
             tuple((q, c) for key, c in expansion.items()
                   if (q := max_key_to_pos.get(key)) is not None and q != p)
             for p, expansion in enumerate(expansions))
-        out = GradedBasis(k, labels, expansions, max_key_to_pos, leading)
-        self._cycle_basis_memo[k] = out
+        out = self._basis_memo[k, fibre] = GradedBasis(
+            k, labels, expansions, max_key_to_pos, leading)
         return out
 
     def cycle_coords(self, seq, degree: int):
         """Sparse coordinates {position: coeff} of the interval cycle of a
         reduced sequence in the degree-``degree`` cycle basis."""
-        key = ("cycle", tuple(seq), degree)
-        out = self._coords_memo.get(key)
-        if out is None:
-            out = self._coords_memo[key] = self.leading_coords(
-                self.interval_cycle(seq), self.cycle_basis(degree))
-        return out
+        return self._coords(tuple(seq), degree, True)
 
     def chain_coords(self, seq, degree: int):
         """Sparse coordinates {position: coeff} of the alternating chain of
         a reduced sequence in the degree-``degree`` full basis."""
-        key = ("chain", tuple(seq), degree)
+        return self._coords(tuple(seq), degree, False)
+
+    def _coords(self, seq, degree: int, fibre: bool):
+        key = (seq, degree, fibre)
         out = self._coords_memo.get(key)
         if out is None:
-            out = self._coords_memo[key] = self.coords_in_basis(
-                self.alternating_chain(seq), self.full_basis(degree))
+            chain = (self.interval_cycle if fibre
+                     else self.alternating_chain)(seq)
+            basis = (self.cycle_basis if fibre else self.full_basis)(degree)
+            out = self._coords_memo[key] = self.leading_coords(chain, basis)
         return out
 
     def coords_in_basis(self, chain: Chain, basis: "GradedBasis"):
@@ -272,10 +270,10 @@ class ChainAlgebra:
 
     def leading_coords(self, chain: Chain, basis: "GradedBasis"):
         """Sparse coordinates {position: coeff} of a chain in the span of
-        a cycle basis, by back-substitution on the leading keys: the
-        chain is read at those keys only, and positions are solved from
-        the highest down, since each entry's restricted expansion reaches
-        only lower positions.  Raises ``ValueError`` when the chain's
+        a basis, by back-substitution on the leading keys: the chain is
+        read at those keys only, and positions are solved from the highest
+        down, since each entry's restricted expansion reaches only lower
+        positions.  Raises ``ValueError`` when the chain's
         maximal key is not a leading key; other chains outside the span
         are not detected."""
         pos_of = basis.max_key_to_pos
@@ -310,14 +308,14 @@ class GradedBasis:
     """An ordered unitriangular basis of one graded piece.
 
     ``max_key_to_pos`` sends the lex-maximal expansion key of each entry
-    (its leading key) to its position; peeling against it solves
-    coordinates exactly.  For a cycle basis, ``leading[p]`` is expansion
-    p at the other entries' leading keys, as (position, coeff) pairs, all
-    below p; full bases leave it None.
+    (its leading key) to its position.  ``leading[p]`` is expansion p at
+    the other entries' leading keys, as (position, coeff) pairs, all below
+    p: the triangular solve reads only these.  The whole expansions serve
+    the peel, the check of that solve.
     """
 
     degree: int
     labels: tuple
     expansions: tuple
     max_key_to_pos: dict
-    leading: tuple | None = None
+    leading: tuple

@@ -15,14 +15,16 @@ Space tokens follow the command line:
 There is one boundary assembly.  ``group_ring_boundary`` applies the two
 signed deletion operators on label sequences, the conjugating deletion
 (drop entry i, conjugate every earlier entry by it) times the reflection
-t_i, and for M and MW minus the plain deletion times 1, and solves each
-deleted term exactly in the basis one degree down.  Both deletions of a
-reduced sequence stay reduced with product below the original element,
-so every term is individually resolvable.  The result is the boundary as
-a matrix over the integral group ring Z[W]: one integer per (row, col, t),
-with row and col basis positions and t the reflection position of the
-group element, or -1 for the identity.  Only Z[W] coefficients turn t
-into an element.
+t_i, and for M and MW minus the plain deletion times 1, to the labels of
+the degree-k basis; no basis is expanded in its own degree.  Both
+deletions of a reduced sequence stay reduced with product below the
+original element, so every term is individually resolvable.  Each
+conjugating deletion is solved exactly in the basis one degree down; a
+plain deletion of a full basis label is itself a label one degree down,
+so it is looked up.  The result is the boundary as a matrix over the
+integral group ring Z[W]: one integer per (row, col, t), with row and col
+basis positions and t the reflection position of the group element, or
+-1 for the identity.  Only Z[W] coefficients turn t into an element.
 
 The identity part of the degree-k M and MW boundary is (-1)^k times the
 algebra differential, which sends each full basis chain to its interval
@@ -105,9 +107,7 @@ class ChainComplex:
 def _labels(algebra: ChainAlgebra, space: str, k: int) -> tuple:
     """Labels of the degree-k basis: the cycle basis for the fibres, the
     full basis for the complements."""
-    if space in ("FP", "FQ", "FQ0"):
-        return algebra.cycle_labels(k)
-    return algebra.full_basis(k).labels
+    return algebra.labels(k, space in ("FP", "FQ", "FQ0"))
 
 
 def group_ring_boundary(algebra: ChainAlgebra, space: str, k: int) -> dict:
@@ -143,15 +143,19 @@ def group_ring_boundary(algebra: ChainAlgebra, space: str, k: int) -> dict:
 
 def _plain_deletion(algebra: ChainAlgebra, k: int) -> dict:
     """The alternating sum of plain deletions on the degree-k full basis,
-    {(row, col): coeff} with nonzero coefficients only."""
-    acc: dict = {}
-    for col, label in enumerate(algebra.full_basis(k).labels):
-        for i in range(k):
-            sign = -1 if i % 2 else 1
-            for row, c in algebra.chain_coords(
-                    label[:i] + label[i + 1:], k - 1).items():
-                acc[row, col] = acc.get((row, col), 0) + sign * c
-    return {key: c for key, c in acc.items() if c}
+    {(row, col): (-1)^i} for dropping entry i of column label col.
+
+    Dropping entry i of a decreasing factorization of w <= gamma leaves a
+    decreasing factorization one rank down: Hurwitz moves carry the entry
+    to the end of the word, so what remains is a reduced prefix of w.
+    Each term is therefore one basis label with coefficient +-1, read by
+    lookup with no coordinate solve, and distinct entries leave distinct
+    labels, so no two terms meet."""
+    row_of = {label: row
+              for row, label in enumerate(algebra.labels(k - 1, False))}
+    return {(row_of[label[:i] + label[i + 1:]], col): -1 if i % 2 else 1
+            for col, label in enumerate(algebra.labels(k, False))
+            for i in range(k)}
 
 
 def build_complex(algebra: ChainAlgebra, space: str,
@@ -386,7 +390,7 @@ def build_algebra_complex(algebra: ChainAlgebra) -> ChainComplex:
     times (-1)^(k + 1).  The complex is acyclic over the integers; its
     degreewise differential ranks equal the cycle-basis sizes."""
     degrees = list(range(algebra.group.rank + 1))
-    labels = {k: algebra.full_basis(k).labels for k in degrees}
+    labels = {k: algebra.labels(k, False) for k in degrees}
     dims = {k: len(labels[k]) for k in degrees}
     matrices = {}
     for k in degrees[1:]:

@@ -360,17 +360,18 @@ def test_both_routes_reject_a_chain_whose_maximal_key_is_not_leading(
 
 
 def test_leading_restriction_is_the_expansion_at_the_leading_keys():
-    """Each cycle basis keeps every expansion at the other entries'
-    leading keys, all of them at lower positions."""
+    """Each basis, cycle and full, keeps every expansion at the other
+    entries' leading keys, all of them at lower positions."""
     algebra = algebra_for("B3")
-    for k in range(1, 4):
-        basis = algebra.cycle_basis(k)
-        assert basis.labels == algebra.cycle_labels(k)
-        for p, (label, expansion) in enumerate(zip(basis.labels,
-                                                   basis.expansions)):
-            expected = {basis.max_key_to_pos[key]: c
-                        for key, c in expansion.items()
-                        if key in basis.max_key_to_pos and key != label[:-1]}
-            assert dict(basis.leading[p]) == expected
-            assert all(q < p for q in expected)
-    assert algebra.full_basis(2).leading is None
+    for fibre, degrees in ((True, range(1, 4)), (False, range(4))):
+        for k in degrees:
+            basis = (algebra.cycle_basis if fibre else algebra.full_basis)(k)
+            assert basis.labels == algebra.labels(k, fibre)
+            for p, (label, expansion) in enumerate(zip(basis.labels,
+                                                       basis.expansions)):
+                lead = label[:-1] if fibre else label
+                expected = {basis.max_key_to_pos[key]: c
+                            for key, c in expansion.items()
+                            if key in basis.max_key_to_pos and key != lead}
+                assert dict(basis.leading[p]) == expected
+                assert all(q < p for q in expected)

@@ -8,7 +8,8 @@ import sys
 import pytest
 
 from conftest import algebra_for
-from ncphom import (GroupCapExceeded, build_complex, euler_characteristic,
+from ncphom import (ChainAlgebra, CoxeterGroup, GroupCapExceeded,
+                    PartitionLattice, build_complex, euler_characteristic,
                     homology_of)
 from ncphom.complexes import (_unreduced_complex, build_algebra_complex,
                               fibre_support_is_reflections,
@@ -181,6 +182,25 @@ def test_algebra_complex_is_exact_with_pinned_ranks():
     assert all(h.is_trivial for h in homology_of(cx))
     ones = cx.matrices[1]
     assert all(_column(ones, c) == {0: 1} for c in range(cx.dims[1]))
+
+
+@pytest.mark.parametrize("name", ["A3", "B3"])
+def test_complements_never_expand_the_top_full_basis(name):
+    """MW and M read the degree-n full basis by its labels only, and the
+    algebra complex expands no basis at all."""
+    algebra = ChainAlgebra(PartitionLattice(CoxeterGroup.from_name(name)))
+    asked = []
+    for method in ("full_basis", "cycle_basis"):
+        def record(k, original=getattr(algebra, method)):
+            asked.append(k)
+            return original(k)
+        setattr(algebra, method, record)
+    build_algebra_complex(algebra)
+    assert asked == []
+    for space in ("MW", "M"):
+        build_complex(algebra, space)
+        _unreduced_complex(algebra, space)
+    assert asked and algebra.group.rank not in asked
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "B4",

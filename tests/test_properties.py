@@ -104,7 +104,7 @@ UNITRIANGULAR_SCRIPT = textwrap.dedent("""\
     from ncphom.properties import check_unitriangular
     print("optimize", sys.flags.optimize)
     algebra = ChainAlgebra(PartitionLattice(CoxeterGroup.from_name("A3")))
-    bad = algebra.cycle_labels(2)[1]
+    bad = algebra.labels(2, True)[1]
     original = algebra.interval_cycle
     algebra.interval_cycle = lambda seq: (
         {key: 2 * c for key, c in original(seq).items()}
