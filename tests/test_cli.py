@@ -164,6 +164,26 @@ DUMPED_COMPLEX_DIGESTS = {
         "boundary_2.json": "389ca2b164f904d5ba6fe8a483edb125"
                            "379a1c15bc67513b63aa203f9c6d1210",
     },
+    ("A4", "FQ0"): {
+        "bases.json": "da7ecc5cc6b2f24e6a23611b36532e5d"
+                      "38745e71695a2af108639e923058b9d6",
+        "boundary_2.json": "6d4b08616561fc0b1b61145b90a56e13"
+                           "3d792d4a420ca589aa48cbabe5fd719a",
+        "boundary_3.json": "5ac81e5a278957e38ed6a802e337f7c8"
+                           "1b9448598c636bbaac816630cec9a5f5",
+        "boundary_4.json": "c759c1667f7a0ba66194d934d6240d33"
+                           "282898c5b01c721b6a4290de53c15d71",
+    },
+    ("B3", "M"): {
+        "bases.json": "6f3dae0a6080c007b3ff7aed3d2419a0"
+                      "fcef055fe276fd8e47a1f0982d6b4e1a",
+        "boundary_1.json": "4bb69a432341dc680f8be3933498889"
+                           "987c46e42c469f456019631dfab0df813",
+        "boundary_2.json": "0f4ef55989adfe2a7c47626268e66867"
+                           "c479fd282e102c357e4798913afcf47f",
+        "boundary_3.json": "5a954eaf80181c9dac2f4bb2259165d1"
+                           "d628d69de526d350e87363a0c670be59",
+    },
 }
 
 
@@ -171,9 +191,10 @@ DUMPED_COMPLEX_DIGESTS = {
 def test_dump_complex_writes_the_unreduced_complex(capsys, tmp_path, name,
                                                    space):
     outdir = tmp_path / "cx"
-    code, _, _ = run(capsys, "homology", name, space,
-                     "--dump-complex", str(outdir))
+    code, out, _ = run(capsys, "homology", name, space,
+                       "--dump-complex", str(outdir))
     assert code == 0
+    assert out == run(capsys, "homology", name, space)[1]
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in outdir.iterdir()}
     assert digests == DUMPED_COMPLEX_DIGESTS[name, space]

@@ -139,6 +139,8 @@ def test_divisibility_fixup_produces_a_chain():
     assert _divisibility_fixup([2, 3]) == [1, 6]
     assert _divisibility_fixup([4, 6]) == [2, 12]
     assert _divisibility_fixup([2, 2, 3]) == [1, 2, 6]
+    assert _divisibility_fixup([6, 4, 9]) == [1, 6, 36]
+    assert _divisibility_fixup([12, 18, 8, 27]) == [1, 6, 36, 216]
     rng = random.Random(13)
     for _ in range(100):
         factors = _divisibility_fixup(
