@@ -142,28 +142,32 @@ def _bad_bound(name: str, value) -> bool:
 
 
 def cmd_homology(args) -> int:
+    # Every argument is checked before the group is built.  The answer
+    # always comes from the reduced complex; ``--dump-complex`` writes the
+    # unreduced one, which has the same homology.
     try:
-        group, lat, algebra = build_all(args.type)
+        ctype = CoxeterType.parse(args.type)
     except TypeParseError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     if _bad_bound("--group-cap", args.group_cap):
         return 2
-    if args.dump_basis is not None and not 0 <= args.dump_basis <= group.rank:
-        print(f"error: --dump-basis K must be in 0..{group.rank} for "
-              f"{group.ctype.name}, got {args.dump_basis}", file=sys.stderr)
+    if args.dump_basis is not None and not 0 <= args.dump_basis <= ctype.rank:
+        print(f"error: --dump-basis K must be in 0..{ctype.rank} for "
+              f"{ctype.name}, got {args.dump_basis}", file=sys.stderr)
         return 2
+    _, lat, algebra = build_all(args.type)
     try:
         if args.dump_lattice:
             dump_lattice(lat, args.dump_lattice)
         if args.dump_basis is not None:
             print(dump_basis(algebra, args.dump_basis))
             return 0
-        # A dump writes the complex with every basis chain kept.
-        build = _unreduced_complex if args.dump_complex else build_complex
-        complex_ = build(algebra, args.space, cap=args.group_cap)
         if args.dump_complex:
-            dump_complex(complex_, args.dump_complex)
+            dump_complex(_unreduced_complex(algebra, args.space,
+                                            cap=args.group_cap),
+                         args.dump_complex)
+        complex_ = build_complex(algebra, args.space, cap=args.group_cap)
     except GroupCapExceeded as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
@@ -174,10 +178,10 @@ def cmd_homology(args) -> int:
     if args.format == "text":
         print(format_text(groups))
     elif args.format == "json":
-        print(format_json(group.ctype.name, args.space, groups,
+        print(format_json(ctype.name, args.space, groups,
                           euler_characteristic(complex_)))
     else:
-        print(format_csv(group.ctype.name, args.space, groups))
+        print(format_csv(ctype.name, args.space, groups))
     return 0
 
 
@@ -338,7 +342,7 @@ def make_parser() -> argparse.ArgumentParser:
                           "as JSON instead of computing homology")
     hom.add_argument("--dump-complex", metavar="DIR",
                      help="write boundary matrices and basis labels of "
-                          "the chosen complex into DIR")
+                          "the unreduced complex into DIR")
     hom.set_defaults(fn=cmd_homology)
 
     ver = sub.add_parser(

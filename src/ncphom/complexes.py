@@ -104,12 +104,6 @@ class ChainComplex:
                                      f"after boundary {d} is not zero")
 
 
-def _labels(algebra: ChainAlgebra, space: str, k: int) -> tuple:
-    """Labels of the degree-k basis: the cycle basis for the fibres, the
-    full basis for the complements."""
-    return algebra.labels(k, space in ("FP", "FQ", "FQ0"))
-
-
 def group_ring_boundary(algebra: ChainAlgebra, space: str, k: int) -> dict:
     """The degree-k boundary of a space as a matrix over the integral
     group ring: {(row, col, t): coeff}, nonzero coefficients only, with
@@ -126,7 +120,7 @@ def group_ring_boundary(algebra: ChainAlgebra, space: str, k: int) -> dict:
     fibre = space in ("FP", "FQ", "FQ0")
     coords_of = algebra.cycle_coords if fibre else algebra.chain_coords
     acc: dict = {}
-    for col, label in enumerate(_labels(algebra, space, k)):
+    for col, label in enumerate(algebra.labels(k, fibre)):
         for i in range(k):
             sign = -1 if i % 2 else 1
             t = label[i]
@@ -193,13 +187,14 @@ class _GroupRingComplex:
             raise ValueError(f"unknown space {space!r}")
         group = self.group = algebra.group
         self.space = space
-        low = 0 if space in ("M", "MW") else 1
-        self.degrees = list(range(low, group.rank + 1))
+        # Fibre complexes start at degree 1, complements at degree 0.
+        fibre = space in ("FP", "FQ", "FQ0")
+        self.degrees = list(range(int(fibre), group.rank + 1))
         self.slots = None
         if space not in ("FP", "MW"):
             self.elements = group.enumerate_elements(cap)
             self.slots = self._coefficient_slots()
-        self.chains = {k: _labels(algebra, space, k) for k in self.degrees}
+        self.chains = {k: algebra.labels(k, fibre) for k in self.degrees}
         self.boundaries = {k: group_ring_boundary(algebra, space, k)
                            for k in self.degrees[1:]}
         if self.slots is not None:

@@ -108,7 +108,6 @@ class CoxeterGroup:
         self.reflection_keys = tuple(keys)
         self._simples = simples
         self._length_cache: dict = {self.identity: 0}
-        self._inverse_cache: dict = {}
 
     @classmethod
     def from_name(cls, name: str) -> "CoxeterGroup":
@@ -120,10 +119,7 @@ class CoxeterGroup:
         return tuple([a[j] for j in b])
 
     def inverse(self, a):
-        cached = self._inverse_cache.get(a)
-        if cached is None:
-            cached = self._inverse_cache[a] = _invert(a)
-        return cached
+        return _invert(a)
 
     def reflection_length(self, a) -> int:
         cached = self._length_cache.get(a)

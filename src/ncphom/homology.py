@@ -177,21 +177,19 @@ _dense_diagonalize = _sparse_diagonalize
 
 def _divisibility_fixup(factors):
     # 1 divides everything, so only the other factors need fixing up.
+    # Replacing a pair by (gcd, lcm) is a compare-exchange of every prime's
+    # exponent, and all pairs i < j in order form a sorting network: once
+    # position i has met every later position it holds the least exponent
+    # of each prime among them.  So one pass leaves every prime's exponents
+    # ascending, which is a divisibility chain.
     ones = [f for f in factors if f == 1]
-    factors = sorted(f for f in factors if f != 1)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(factors)):
-            for j in range(i + 1, len(factors)):
-                a, b = factors[i], factors[j]
-                if b % a:
-                    g = gcd(a, b)
-                    factors[i] = g
-                    factors[j] = a * b // g
-                    changed = True
-        if changed:
-            factors.sort()
+    factors = [f for f in factors if f != 1]
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            a, b = factors[i], factors[j]
+            if b % a:
+                g = gcd(a, b)
+                factors[i], factors[j] = g, a * b // g
     return ones + factors
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .homology import HomologyGroup
-from .rootsys import CoxeterType
+from .rootsys import CoxeterType, TypeParseError
 
 DATA_FILES = (
     "fp_exceptional", "fq0_exceptional",
@@ -98,7 +98,7 @@ def lookup(type_name: str, space: str) -> ReferenceRow | None:
     """
     try:
         ctype = CoxeterType.parse(type_name)
-    except Exception:
+    except TypeParseError:
         ctype = None
     name = ctype.name if ctype is not None else type_name.strip()
     if space == "FQ":
@@ -117,7 +117,7 @@ def lookup(type_name: str, space: str) -> ReferenceRow | None:
 def _rank_of(type_name: str) -> int:
     try:
         return CoxeterType.parse(type_name).rank
-    except Exception:
+    except TypeParseError:
         digits = "".join(ch for ch in type_name if ch.isdigit())
         return int(digits) if digits else 0
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import factorial
 
 COXETER_NUMBERS = {
     "A": lambda n: n + 1,
@@ -46,20 +47,13 @@ COXETER_NUMBERS = {
 }
 
 GROUP_ORDERS = {
-    "A": lambda n: _factorial(n + 1),
-    "B": lambda n: 2 ** n * _factorial(n),
-    "D": lambda n: 2 ** (n - 1) * _factorial(n),
+    "A": lambda n: factorial(n + 1),
+    "B": lambda n: 2 ** n * factorial(n),
+    "D": lambda n: 2 ** (n - 1) * factorial(n),
     "E": {6: 51840, 7: 2903040, 8: 696729600}.get,
     "F": {4: 1152}.get,
     "H": {3: 120, 4: 14400}.get,
 }
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 class TypeParseError(ValueError):

@@ -8,8 +8,9 @@ import sys
 
 import pytest
 
-from ncphom import HomologyGroup
+from ncphom import HomologyGroup, cli
 from ncphom.cli import main
+from ncphom.complexes import _unreduced_complex, build_complex
 from ncphom.refdata import ReferenceRow
 
 
@@ -88,6 +89,21 @@ def test_homology_rejects_group_cap_below_one(capsys, cap):
     assert code == 2
     assert out == ""
     assert err == f"error: --group-cap must be at least 1, got {cap}\n"
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["E9", "FP"], "error: E9 is not a supported irreducible type\n"),
+    (["E8", "FP", "--group-cap", "0"],
+     "error: --group-cap must be at least 1, got 0\n"),
+    (["E8", "FP", "--dump-basis", "9"],
+     "error: --dump-basis K must be in 0..8 for E8, got 9\n"),
+], ids=["type", "group-cap", "dump-basis"])
+def test_homology_checks_arguments_before_building(capsys, monkeypatch,
+                                                   argv, err):
+    def build_all(type_name):
+        raise AssertionError(f"built {type_name}")
+    monkeypatch.setattr("ncphom.cli.build_all", build_all)
+    assert run(capsys, "homology", *argv) == (2, "", err)
 
 
 def test_bad_arguments_exit_2(capsys):
@@ -198,6 +214,21 @@ def test_dump_complex_writes_the_unreduced_complex(capsys, tmp_path, name,
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in outdir.iterdir()}
     assert digests == DUMPED_COMPLEX_DIGESTS[name, space]
+
+
+def test_dump_complex_answers_from_the_reduced_complex(capsys, monkeypatch,
+                                                      tmp_path):
+    seen = []
+    answer = cli.homology_of
+    monkeypatch.setattr("ncphom.cli.homology_of",
+                        lambda cx: seen.append(cx.dims) or answer(cx))
+    code, _, _ = run(capsys, "homology", "A3", "FQ0",
+                     "--dump-complex", str(tmp_path / "cx"))
+    assert code == 0
+    _, _, algebra = cli.build_all("A3")
+    reduced = build_complex(algebra, "FQ0").dims
+    assert reduced != _unreduced_complex(algebra, "FQ0").dims
+    assert seen == [reduced]
 
 
 @pytest.mark.parametrize("k", ["9", "-1"])

@@ -3,6 +3,7 @@
 import pytest
 
 from ncphom import HomologyGroup, all_rows, load_rows, lookup
+from ncphom.rootsys import CoxeterType
 
 
 def test_every_row_decodes_with_a_source():
@@ -92,6 +93,16 @@ def test_all_rows_filters():
                                           "D3", "H3"}
     everything = all_rows()
     assert len(everything) == len(load_rows())
+
+
+def test_lookup_propagates_errors_other_than_a_bad_type(monkeypatch):
+    def parse(text):
+        raise RuntimeError("parser fault")
+    monkeypatch.setattr(CoxeterType, "parse", staticmethod(parse))
+    with pytest.raises(RuntimeError, match="parser fault"):
+        lookup("A3", "FP")
+    with pytest.raises(RuntimeError, match="parser fault"):
+        all_rows(space="FP", max_rank=3)
 
 
 @pytest.mark.parametrize("name,space,frees", [
