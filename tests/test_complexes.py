@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from conftest import algebra_for
+from conftest import algebra_for, per_boundary_homology
 from ncphom import (ChainAlgebra, CoxeterGroup, GroupCapExceeded,
                     PartitionLattice, build_complex, euler_characteristic,
                     homology_of)
@@ -437,6 +437,22 @@ def test_reduced_complex_matches_unreduced(name, space):
     full = _unreduced_complex(algebra, space)
     assert homology_of(reduced) == homology_of(full)
     assert euler_characteristic(reduced) == euler_characteristic(full)
+
+
+# Every complex above, reduced and unreduced.
+DIFFERENTIAL_TABLES = sorted(
+    {(name, space) for name, space, _ in PINNED_DIGESTS} | set(REDUCED_TABLES))
+
+
+@pytest.mark.parametrize("name,space", DIFFERENTIAL_TABLES)
+def test_one_pass_homology_matches_each_boundary_on_its_own(name, space):
+    """``homology_of`` agrees with the Smith form of every boundary taken
+    on its own, every row kept, on the complexes with and without the
+    reduction over the group ring."""
+    algebra = algebra_for(name)
+    for cx in (_unreduced_complex(algebra, space),
+               build_complex(algebra, space)):
+        assert homology_of(cx) == per_boundary_homology(cx)
 
 
 @pytest.mark.parametrize("name", ["A2", "A3", "B2", "B3", "D3", "I2(5)",
