@@ -20,7 +20,33 @@ function, which the benchmark tracer reads as labels.
 
 It ends with a divisibility fixup (replace any non-dividing pair of
 non-unit diagonal entries by gcd and lcm) so the returned factors form
-the canonical chain d1 | d2 | ... .  Homology per degree k is assembled as
+the canonical chain d1 | d2 | ... .
+
+``homology_of`` runs that loop once per boundary, in ascending degree,
+and each boundary skips the rows that the unit pivots of the boundary
+below matched.  A unit pivot (r0, c0) of d_k is an elementary reduction
+of the whole complex (the Gaussian-elimination lemma of Kaczynski,
+Mrozek and Slusarek, 1998, that ``complexes`` applies over Z[W]).  Row
+r0 of d_k d_{k+1} = 0 reads
+
+    d_k[r0][c0] * (row c0 of d_{k+1}) = - sum over c != c0 of
+                                          d_k[r0][c] * (row c of d_{k+1}),
+
+and d_k[r0][c0] = +-1, so row c0 of d_{k+1} is an integer combination of
+its other rows: the basis change of C_k that clears row r0 of d_k
+replaces row c0 of d_{k+1} by zero and leaves every other row as it was.
+The same holds pivot after pivot, because the row operations of the
+elimination change only the basis of C_{k-1}, and the column operations
+of a unit step change only its own pivot row of d_{k+1}.  A non-unit
+step that reduces its pivot row modulo the pivot makes column operations
+that change the surviving row c of d_{k+1} for its pivot column c, so a
+unit pivot taken after it no longer matches a row of d_{k+1} as given.
+Only the unit pivots taken before a boundary's first non-unit step
+therefore count, and ``invariant_factors`` hands their columns on as
+``unit_columns``.  Zeroing those rows is a unimodular change of the
+rows, so d_{k+1} keeps its Smith form and still composes with d_{k+2} to
+zero, and the argument repeats one degree up.  Homology per degree k is
+then assembled as
 
     free rank = dim C_k - rank(out of k) - rank(into k),
     torsion   = invariant factors > 1 of the incoming boundary,
@@ -66,22 +92,33 @@ def compose(a: BoundaryMatrix, b: BoundaryMatrix) -> BoundaryMatrix:
     return out
 
 
-def invariant_factors(matrix: BoundaryMatrix):
+class SmithForm(tuple):
+    """``(factors, rank)``, with the columns of the unit pivots taken
+    before the first non-unit step as ``unit_columns``."""
+
+    unit_columns = ()
+
+
+def invariant_factors(matrix: BoundaryMatrix) -> SmithForm:
     """All invariant factors (including 1s) as the divisibility chain, and
-    the rank (= their count)."""
+    the rank (= their count), with the matched columns that the next
+    boundary up may skip as rows."""
     if not matrix.entries:
-        return [], 0
+        return SmithForm(([], 0))
     if matrix.rows <= DENSE_LIMIT and matrix.cols <= DENSE_LIMIT:
-        diag = _dense_diagonalize(matrix)
+        diag, unit_columns = _dense_diagonalize(matrix)
     else:
-        diag = _sparse_diagonalize(matrix)
+        diag, unit_columns = _sparse_diagonalize(matrix)
     factors = _divisibility_fixup([abs(d) for d in diag if d])
-    return factors, len(factors)
+    out = SmithForm((factors, len(factors)))
+    out.unit_columns = unit_columns
+    return out
 
 
 def _sparse_diagonalize(matrix: BoundaryMatrix):
     """The diagonal of a Smith form of ``matrix``, up to sign and the
-    divisibility fixup.
+    divisibility fixup, and the pivot columns of the unit steps taken
+    before the first non-unit step, in the order taken.
 
     Each step takes a pivot, clears its column by row operations with the
     balanced quotient, and, if that leaves the column clear, reduces the
@@ -99,6 +136,8 @@ def _sparse_diagonalize(matrix: BoundaryMatrix):
         rows.setdefault(r, {})[c] = v
         cols.setdefault(c, set()).add(r)
     diag = []
+    unit_columns = []
+    leading = True  # no non-unit step yet
     # Heap entries whose count no longer matches the column are stale and
     # skipped; a column without a unit is dropped until a step touches it.
     heap = [(len(rs), c) for c, rs in cols.items()]
@@ -112,8 +151,11 @@ def _sparse_diagonalize(matrix: BoundaryMatrix):
             pr = min((r for r in pcol if rows[r][pc] in (1, -1)),
                      key=lambda r: (len(rows[r]), r), default=None)
             if pr is not None:
+                if leading:
+                    unit_columns.append(pc)
                 break
         else:
+            leading = False
             _, _, pr, pc = min(
                 (abs(v), (len(row) - 1) * (len(cols[c]) - 1), r, c)
                 for r, row in rows.items() for c, v in row.items())
@@ -167,7 +209,7 @@ def _sparse_diagonalize(matrix: BoundaryMatrix):
                 heappush(heap, (len(col), c))
             else:
                 del cols[c]
-    return diag
+    return diag, unit_columns
 
 
 # perfbench/tracing.py and its self-test still read DENSE_LIMIT and patch
@@ -244,7 +286,9 @@ def homology_of(complex_) -> list:
 
     The complex supplies ascending chain degrees, a dimension per degree,
     and matrices[d] : C_d -> C_{d-1} for every degree above the lowest.
-    Chain degree d becomes topological degree d - min(degrees).
+    Chain degree d becomes topological degree d - min(degrees).  Each
+    boundary's Smith form leaves out the rows that the unit pivots of the
+    boundary below matched (see the module docstring).
     """
     degrees = list(complex_.degrees)
     offset = degrees[0]
@@ -253,9 +297,22 @@ def homology_of(complex_) -> list:
                          f"{degrees}")
     ranks = {}
     torsion = {}
+    matched = ()  # rows of the next boundary that unit pivots matched
     for d in degrees[1:]:
-        factors, rank = invariant_factors(complex_.matrices[d])
-        ranks[d] = rank
+        matrix = complex_.matrices[d]
+        if (matrix.rows, matrix.cols) != (complex_.dims[d - 1],
+                                          complex_.dims[d]):
+            raise ValueError(f"boundary {d} is {matrix.rows}x{matrix.cols}, "
+                             f"not {complex_.dims[d - 1]}x"
+                             f"{complex_.dims[d]}")
+        if matched:
+            skip = set(matched)
+            matrix = BoundaryMatrix(matrix.rows, matrix.cols, {
+                key: v for key, v in matrix.entries.items()
+                if key[0] not in skip})
+        smith = invariant_factors(matrix)
+        factors, ranks[d] = smith
+        matched = smith.unit_columns
         torsion[d] = tuple(f for f in factors if f > 1)
     out = []
     for d in degrees:

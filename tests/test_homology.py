@@ -77,8 +77,8 @@ def assert_factors(matrix, expected):
     """``invariant_factors`` and the bare elimination both give the
     expected divisibility chain."""
     assert invariant_factors(matrix) == (expected, len(expected))
-    sparse = _divisibility_fixup(
-        [abs(d) for d in _sparse_diagonalize(matrix) if d])
+    diag, _ = _sparse_diagonalize(matrix)
+    sparse = _divisibility_fixup([abs(d) for d in diag if d])
     assert sparse == expected
 
 
@@ -277,6 +277,10 @@ def test_answer_checks_survive_python_dash_o():
                 self.dims = {d: 1 for d in degrees}
                 self.matrices = {d: BoundaryMatrix(1, 1) for d in degrees}
 
+            def with_matrix(self, d, rows, cols):
+                self.matrices[d] = BoundaryMatrix(rows, cols)
+                return self
+
         cases = [
             lambda: compose(BoundaryMatrix(2, 3), BoundaryMatrix(2, 3)),
             lambda: HomologyGroup(-1),
@@ -284,6 +288,8 @@ def test_answer_checks_survive_python_dash_o():
             lambda: HomologyGroup(0, (3, 2)),
             lambda: homology_of(Complex([2, 1])),
             lambda: homology_of(Complex([0, 2])),
+            lambda: homology_of(Complex([0, 1]).with_matrix(1, 2, 1)),
+            lambda: homology_of(Complex([0, 1]).with_matrix(1, 1, 2)),
         ]
         for case in cases:
             try:
@@ -308,7 +314,7 @@ def test_answer_checks_survive_python_dash_o():
                          capture_output=True, text=True, timeout=60,
                          env=dict(os.environ, PYTHONPATH=str(src)))
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["raised"] * 6 + ["Z", "0", "0"]
+    assert out.stdout.split() == ["raised"] * 8 + ["Z", "0", "0"]
 
 
 def test_sparse_path_handles_negative_pivots():
@@ -500,14 +506,47 @@ def test_torsion_chain_oracle():
     assert _torsion_chain([1, 1]) == ()
 
 
-def test_known_complexes_on_both_routes():
+def test_unit_columns_stop_at_the_first_non_unit_step():
+    """The columns of the unit pivots the elimination took before its
+    first non-unit step: all of them for a permuted identity, none when
+    the first pivot is not a unit, and none for a zero matrix."""
+    identity = _matrix_from_rows([[0, 1, 0], [0, 0, -1], [1, 0, 0]])
+    assert sorted(invariant_factors(identity).unit_columns) == [0, 1, 2]
+    assert sorted(_sparse_diagonalize(identity)[1]) == [0, 1, 2]
+    # 2 and 3 leave the unit 1 = 3 - 2 only after a non-unit step.
+    coprime = _matrix_from_rows([[2, 3]])
+    assert invariant_factors(coprime) == ([1], 1)
+    assert invariant_factors(coprime).unit_columns == []
+    # The unit in column 0 goes first; then only non-unit steps remain.
+    mixed = _matrix_from_rows([[1, 0, 0], [0, 2, 3]])
+    assert invariant_factors(mixed).unit_columns == [0]
+    assert invariant_factors(BoundaryMatrix(2, 2)).unit_columns == ()
+
+
+def test_known_complexes_on_both_routes(monkeypatch):
     """Scrambled direct sums of Z and Z --n--> Z: the one-pass homology
-    and the per-boundary route both give the homology of the sum."""
+    and the per-boundary route both give the homology of the sum.  Many
+    boundaries take a unit pivot after a non-unit step, whose column the
+    next boundary must keep as a row."""
+    import ncphom.homology as homology
+
+    results = []
+
+    def record(matrix):
+        out = invariant_factors(matrix)
+        results.append(out)
+        return out
+    monkeypatch.setattr(homology, "invariant_factors", record)
     rng = random.Random(61)
+    late_units = 0
     for trial in range(300):
         cx, expected = known_complex(rng, rng.randint(1, 4),
                                      rng.randint(0, 60))
         for d in cx.degrees[2:]:
             assert not compose(cx.matrices[d - 1], cx.matrices[d]).entries
+        del results[:]
         assert homology_of(cx) == expected, trial
+        late_units += any(len(smith.unit_columns) < smith[0].count(1)
+                          for smith in results[:-1])
         assert per_boundary_homology(cx) == expected, trial
+    assert late_units > 20
