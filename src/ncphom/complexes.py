@@ -60,6 +60,11 @@ modules:
   halves (FQ0).  An entry of even parity would leave the half, and the
   tensoring raises ``RuntimeError``.
 
+A boundary tensored with a regular module has its group-ring terms
+times its slots as entries, a count known before tensoring.  Above
+``TENSOR_ENTRY_CAP`` the tensoring raises ``TensorSizeExceeded``, a
+``GroupCapExceeded``, instead of running out of memory.
+
 Group elements are positions in the sorted element list, and every
 product is read from a right-regular table (``ElementList.right`` in
 ``coxgroup``): the positions of w g for all w, built on first use from
@@ -76,10 +81,28 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .chain_algebra import ChainAlgebra
-from .coxgroup import DEFAULT_GROUP_CAP
+from .coxgroup import DEFAULT_GROUP_CAP, GroupCapExceeded
 from .homology import BoundaryMatrix, compose
 
 SPACES = ("FP", "FQ0", "FQ", "M", "MW")
+# The fibres: cycle bases, from chain degree 1.  The complements M and MW
+# take the full bases from chain degree 0.
+FIBRE_SPACES = ("FP", "FQ0", "FQ")
+
+# The most integer entries that one tensored boundary may hold: its
+# group-ring terms times its coefficient slots, known before tensoring.
+# An entry costs about 170 bytes as a matrix entry and about twice that
+# again in the Smith form, so a boundary at the cap needs about 2 GB.
+# The largest boundary of a table CI runs, D4 FQ's d4, has 54912 entries,
+# and B4 M's d3 718080.  B5 FQ0's d4 and d5 would have 9354240 and
+# 56833920, and F4 FQ0's d4 4758912.
+TENSOR_ENTRY_CAP = 4_000_000
+
+
+class TensorSizeExceeded(GroupCapExceeded):
+    """Raised when a tensored boundary would hold more than
+    ``TENSOR_ENTRY_CAP`` entries.  As a group-cap refusal, ``ncphom
+    homology`` exits 3 and ``verify tables`` skips the table."""
 
 
 @dataclass
@@ -117,7 +140,7 @@ def group_ring_boundary(algebra: ChainAlgebra, space: str, k: int) -> dict:
     """
     if space not in SPACES:
         raise ValueError(f"unknown space {space!r}")
-    fibre = space in ("FP", "FQ", "FQ0")
+    fibre = space in FIBRE_SPACES
     coords_of = algebra.cycle_coords if fibre else algebra.chain_coords
     acc: dict = {}
     for col, label in enumerate(algebra.labels(k, fibre)):
@@ -188,7 +211,7 @@ class _GroupRingComplex:
         group = self.group = algebra.group
         self.space = space
         # Fibre complexes start at degree 1, complements at degree 0.
-        fibre = space in ("FP", "FQ", "FQ0")
+        fibre = space in FIBRE_SPACES
         self.degrees = list(range(int(fibre), group.rank + 1))
         self.slots = None
         if space not in ("FP", "MW"):
@@ -294,8 +317,16 @@ class _GroupRingComplex:
         sending each term c g of a cell to slot w g of its row.  Right
         multiplication by g is injective, so in the regular modules no two
         terms meet in one entry, and each is written directly; only the
-        trivial module sums."""
+        trivial module sums.  Raises ``TensorSizeExceeded`` before
+        allocating if a boundary would exceed ``TENSOR_ENTRY_CAP``."""
         slots, chains = self.slots, self.chains
+        for k in self.degrees[1:] if slots is not None else ():
+            terms, copies = len(self.boundaries[k]), len(slots[k])
+            if terms * copies > TENSOR_ENTRY_CAP:
+                raise TensorSizeExceeded(
+                    f"{self.space} of {self.group.ctype}: boundary {k} "
+                    f"needs {terms * copies} entries ({terms} terms x "
+                    f"{copies} slots), over the cap {TENSOR_ENTRY_CAP}")
         labels = chains if slots is None else {
             k: tuple((wi, lab) for wi in range(len(slots[k]))
                      for lab in chains[k])
@@ -401,7 +432,7 @@ def group_ring_square_is_zero(algebra: ChainAlgebra, space: str) -> bool:
     """Exact check of boundary-of-boundary = 0 in group-ring form."""
     group = algebra.group
     elements = group.reflection_keys + (group.identity,)  # t = -1: identity
-    low = 1 if space in ("FP", "FQ", "FQ0") else 0
+    low = 1 if space in FIBRE_SPACES else 0
     product_cache: dict = {}
     for k in range(low + 2, group.rank + 1):
         by_mid: dict = {}

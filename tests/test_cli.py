@@ -83,6 +83,23 @@ def test_group_cap_exits_3(capsys):
     assert "384" in err and "100" in err
 
 
+def test_tensor_size_cap_exits_3_and_skips_in_verify(capsys, monkeypatch):
+    import ncphom.complexes as complexes
+
+    monkeypatch.setattr(complexes, "TENSOR_ENTRY_CAP", 100)
+    code, out, err = run(capsys, "homology", "A3", "FQ0")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: FQ0 of A3: boundary 3 needs ")
+    assert err.endswith(", over the cap 100\n")
+    code, out, _ = run(capsys, "verify", "tables", "--type", "A3",
+                       "--space", "FQ0")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].startswith("SKIP tables A3 FQ0: FQ0 of A3: boundary 3")
+    assert lines[1] == "0 passed, 0 failed, 1 skipped"
+
+
 @pytest.mark.parametrize("cap", ["0", "-1"])
 def test_homology_rejects_group_cap_below_one(capsys, cap):
     code, out, err = run(capsys, "homology", "A3", "FQ", "--group-cap", cap)

@@ -172,6 +172,27 @@ def test_group_cap_stops_enumeration():
         build_complex(algebra_for("A3"), "M", cap=10)
 
 
+def test_tensor_size_cap_refuses_before_allocating(monkeypatch):
+    """A boundary of more tensored entries than the cap is refused with
+    a group-cap error; a boundary at the cap, and the trivial module,
+    are not."""
+    import ncphom.complexes as complexes
+
+    algebra = algebra_for("A3")
+    largest = max(len(m.entries)
+                  for m in build_complex(algebra, "FQ0").matrices.values())
+    monkeypatch.setattr(complexes, "TENSOR_ENTRY_CAP", largest)
+    build_complex(algebra, "FQ0")
+    monkeypatch.setattr(complexes, "TENSOR_ENTRY_CAP", largest - 1)
+    with pytest.raises(complexes.TensorSizeExceeded) as err:
+        build_complex(algebra, "FQ0")
+    assert isinstance(err.value, GroupCapExceeded)
+    assert f"over the cap {largest - 1}" in str(err.value)
+    monkeypatch.setattr(complexes, "TENSOR_ENTRY_CAP", 0)
+    build_complex(algebra, "FP")
+    build_complex(algebra, "MW")
+
+
 def test_algebra_complex_is_exact_with_pinned_ranks():
     algebra = algebra_for("A3")
     cx = build_algebra_complex(algebra)
