@@ -37,13 +37,13 @@ its other rows: the basis change of C_k that clears row r0 of d_k
 replaces row c0 of d_{k+1} by zero and leaves every other row as it was.
 The same holds pivot after pivot, because the row operations of the
 elimination change only the basis of C_{k-1}, and the column operations
-of a unit step change only its own pivot row of d_{k+1}.  A non-unit
-step that reduces its pivot row modulo the pivot makes column operations
-that change the surviving row c of d_{k+1} for its pivot column c, so a
-unit pivot taken after it no longer matches a row of d_{k+1} as given.
-Only the unit pivots taken before a boundary's first non-unit step
-therefore count, and ``invariant_factors`` hands their columns on as
-``unit_columns``.  Zeroing those rows is a unimodular change of the
+of a unit step change only the row of d_{k+1} that its pivot column
+matches.  A non-unit step at column c that reduces its pivot row modulo
+the pivot makes column operations too: they add multiples of other rows
+of d_{k+1} to row c, which stays, and a unit pivot taken after that
+matches a row of the changed d_{k+1}, not of d_{k+1} as given.  So only
+the unit pivots taken before a boundary's first non-unit step count,
+and ``invariant_factors`` hands their columns on as ``unit_columns``.  Zeroing those rows is a unimodular change of the
 rows, so d_{k+1} keeps its Smith form and still composes with d_{k+2} to
 zero, and the argument repeats one degree up.  Homology per degree k is
 then assembled as
