@@ -43,10 +43,10 @@ the pivot makes column operations too: they add multiples of other rows
 of d_{k+1} to row c, which stays, and a unit pivot taken after that
 matches a row of the changed d_{k+1}, not of d_{k+1} as given.  So only
 the unit pivots taken before a boundary's first non-unit step count,
-and ``invariant_factors`` hands their columns on as ``unit_columns``.  Zeroing those rows is a unimodular change of the
-rows, so d_{k+1} keeps its Smith form and still composes with d_{k+2} to
-zero, and the argument repeats one degree up.  Homology per degree k is
-then assembled as
+and ``invariant_factors`` hands their columns on as ``unit_columns``.
+Zeroing those rows is a unimodular change of the rows, so d_{k+1} keeps
+its Smith form and still composes with d_{k+2} to zero, and the argument
+repeats one degree up.  Homology per degree k is then assembled as
 
     free rank = dim C_k - rank(out of k) - rank(into k),
     torsion   = invariant factors > 1 of the incoming boundary,
