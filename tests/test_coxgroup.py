@@ -36,7 +36,8 @@ def _bfs_reflection_lengths(group):
     return _bfs_word_lengths(group, group.reflection_keys)
 
 
-@pytest.mark.parametrize("name", sorted(set(SMALL_TYPES + DIAGRAM_TYPES)))
+@pytest.mark.parametrize("name", sorted(set(SMALL_TYPES + DIAGRAM_TYPES)
+                                         | {"A5", "B5", "D5"}))
 def test_length_equals_reflection_word_length(name):
     group = group_for(name)
     oracle = _bfs_reflection_lengths(group)

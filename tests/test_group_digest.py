@@ -82,7 +82,9 @@ PINNED_KEY_DIGESTS = [
 ]
 
 # SHA-256 of (name, sorted (key, reflection_length) over every element)
-# per type with |W| <= 15000, from the same realization.
+# per type with |W| <= 15000 from the same realization, and for E6
+# (|W| = 51840) from the integer rank of w - I on the Cartan-matrix
+# closure.
 PINNED_LENGTH_DIGESTS = [
     ("A1",
      "ab8498601b8866192e4623c27e35e72041fac06e71b870ce965e12f41ed276e5"),
@@ -110,6 +112,8 @@ PINNED_LENGTH_DIGESTS = [
      "0b1aebcf9aa8cf582aa7ae2a16875997494d0c7602cea1c81d5e8f728c73986d"),
     ("D5",
      "c81e57fbfd7b2a79421b5d75a38b8f7adfbedb3e8889c097ae810aeeac6d1463"),
+    ("E6",
+     "4222f21e87e5b8b004698c2c5a6e90b6f81480116415b18d51fdc82c80f6d9c2"),
     ("F4",
      "8d7dde2cfc1d3e64b840198c9b718b8efa2952878f63cf2b7803155b51cc02de"),
     ("H3",

@@ -17,7 +17,7 @@ EXPECTED_SIZES = {
     "A1": 2, "A2": 5, "A3": 14, "A4": 42, "A5": 132,
     "B2": 6, "B3": 20, "B4": 70, "B5": 252,
     "D3": 14, "D4": 50, "D5": 182,
-    "E6": 833, "F4": 105, "H3": 32, "H4": 280,
+    "E6": 833, "E7": 4160, "F4": 105, "H3": 32, "H4": 280,
     "I2(3)": 5, "I2(4)": 6, "I2(7)": 9, "I2(12)": 14,
 }
 
