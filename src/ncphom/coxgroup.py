@@ -17,17 +17,21 @@ the root closure in ``rootsys`` (or, for I2(m), from the angles of its
 and every other reflection is a gamma-conjugate along the root
 recurrence, so reflection k is the one that swaps rho_k and -rho_k.
 
-Reflection length is the codimension of the fixed space, rank(w - I),
-worked out once per distinct element in exact integer arithmetic on the
-simple-root coordinates of w(alpha_i) - alpha_i.  Those coordinates are
-integers for the crystallographic types and lie in Z[phi] = Z + Z phi for
-H3 and H4, whose 2n-dimensional integer realization has twice the rank.
-I2(m) reads its lengths off the permutation: rotations have length 2.
+Reflection length is the codimension of the fixed space (Carter 1972),
+worked out once per distinct element from its root permutation.  The
+dimension of Fix(w) is the mean trace of the powers of w, and the
+alpha_i coordinate of w^k(alpha_i), averaged over k, is its mean over
+the cycle of alpha_i under w.  The sum of these means is exact in
+integers over the lcm of the cycle lengths.  For H3 and H4 the
+coordinates lie in Z[phi] = Z + Z phi; the sum is rational and 1, phi
+are independent over Q, so only the integer halves are read.  I2(m)
+reads its lengths off the permutation: rotations have length 2.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from math import lcm
 
 from .rootsys import CoxeterType, RootSystem
 
@@ -73,7 +77,7 @@ class CoxeterGroup:
             rs = RootSystem(ctype)
             simples = rs.simple_permutations
             classes = rs.color_classes
-            self._rows = rs.rows
+            self._roots = rs.roots
             self._simple_positions = rs.simple_positions
             self._codim = self._integer_codim
 
@@ -128,11 +132,22 @@ class CoxeterGroup:
         return cached
 
     def _integer_codim(self, a) -> int:
-        rows = self._rows
-        diff = [[x - y for x, y in zip(img, base)]
-                for s in self._simple_positions
-                for img, base in zip(rows[a[s]], rows[s])]
-        return integer_rank(diff) // len(rows[0])
+        roots = self._roots
+        fixed, common = 0, 1  # dim Fix(a) = fixed / common
+        for i, s in enumerate(self._simple_positions):
+            total, length, p = roots[s][i], 1, a[s]
+            while p != s:
+                total += roots[p][i]
+                length += 1
+                p = a[p]
+            step = lcm(common, length)
+            fixed = fixed * (step // common) + total * (step // length)
+            common = step
+        if fixed % common:
+            raise RuntimeError(
+                f"{self.ctype}: mean trace {fixed}/{common} is not an "
+                "integer; the permutation is not a group element")
+        return self.rank - fixed // common
 
     def _rotation_codim(self, a) -> int:
         if a == self.identity:
@@ -261,28 +276,3 @@ class ElementList(Sequence):
                 table = list(map(step.__getitem__, self.right(step[g])))
             self._right[g] = table
         return table
-
-
-def integer_rank(rows) -> int:
-    """Rank over Q of an integer matrix, by fraction-free (Bareiss)
-    elimination: every entry stays an integer minor, so each division by
-    the previous pivot is exact."""
-    rows = [list(r) for r in rows]
-    rank, previous = 0, 1
-    for col in range(len(rows[0]) if rows else 0):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]),
-                     None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        top = rows[rank]
-        pv = top[col]
-        for r in range(rank + 1, len(rows)):
-            f = rows[r][col]
-            rows[r] = [(pv * x - f * y) // previous
-                       for x, y in zip(rows[r], top)]
-        previous = pv
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank

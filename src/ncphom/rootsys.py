@@ -177,7 +177,8 @@ class RootSystem:
     """Roots, simple-reflection permutations and the fixed reflection order
     for one diagram type (everything except the dihedral family).
 
-    Positions 0..N-1 are rho_1..rho_N, position N + k is -rho_{k+1}.
+    Positions 0..N-1 are rho_1..rho_N, position N + k is -rho_{k+1}, and
+    ``roots[j]`` is the root at position j.
     """
 
     def __init__(self, ctype: CoxeterType):
@@ -220,8 +221,7 @@ class RootSystem:
         self.simple_permutations = tuple(
             tuple(where[image[r]] for r in roots) for image in images)
         self.simple_positions = tuple(where[r] for r in simple_roots)
-        self.rows = tuple(_coordinate_rows(r, n, ctype.family == "H")
-                          for r in roots)
+        self.roots = tuple(roots)
 
     def _close(self, simple_roots, limit: int):
         """Close the simple roots under the simple reflections; returns
@@ -274,13 +274,3 @@ def _bipartition(n: int, bonds):
     if len(color) != n:
         raise RuntimeError("the diagram is not connected")
     return tuple(tuple(i for i in range(n) if color[i] == c) for c in (0, 1))
-
-
-def _coordinate_rows(root, n: int, golden: bool):
-    """Integer rows of a root for ranks over Z: its n coordinates, or for
-    H the rows of r and phi r over the basis alpha_i, phi alpha_i (2n
-    columns), since phi (a + b phi) = b + (a + b) phi."""
-    a, b = list(root[:n]), list(root[n:])
-    if not golden:
-        return (a,)
-    return (a + b, b + [x + y for x, y in zip(a, b)])

@@ -168,8 +168,9 @@ def test_gate_06_structural_property_suite(capsys):
 
 def test_gate_07_independent_oracles_agree(capsys):
     def body():
-        # reflection length: linear-algebra method against plain
-        # word-length search, on every supported group of order <= 48
+        # reflection length: mean trace over the simple-root cycles
+        # against plain word-length search, on every supported group of
+        # order <= 48
         length_types = ["A1", "A2", "A3", "B2", "B3", "D3"] + [
             f"I2({m})" for m in range(3, 25)]
         for name in length_types:

@@ -1,6 +1,9 @@
 """Group backends: length, order, conjugation, enumeration."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -269,11 +272,69 @@ def test_length_is_the_field_rank_of_m_minus_identity(name):
     """Over the 2n columns alpha_i, phi alpha_i the rank of M - I over Q
     is twice the codimension: [Q(phi) : Q] = 2 for H, and elsewhere the
     phi half is a second copy of the first."""
+    assert _field_rank([[1, 2], [2, 4]]) == 1
     group, _, matrix_of, identity = _simple_root_matrices(name)
     for w, mat in matrix_of.items():
         diff = [[x - y for x, y in zip(row, idrow)]
                 for row, idrow in zip(mat, identity)]
         assert 2 * group.reflection_length(w) == _field_rank(diff)
+
+
+FRACTIONAL_TRACE_SCRIPT = """
+import sys
+from ncphom import CoxeterGroup
+from ncphom.rootsys import RootSystem
+print("optimize", sys.flags.optimize)
+group = CoxeterGroup.from_name("A2")
+roots = RootSystem(group.ctype).roots
+where = {r: j for j, r in enumerate(roots)}
+elements = set(group.enumerate_elements())
+
+def negate(r):
+    return tuple(-x for x in r)
+
+def permutation(images):
+    perm = list(range(len(roots)))
+    for r, image in images.items():
+        perm[where[r]] = where[image]
+        perm[where[negate(r)]] = where[negate(image)]
+    return tuple(perm)
+
+a1, a2, a12 = (1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)
+rotation = permutation({a1: a2, a2: negate(a12), negate(a12): a1})
+print("rotation", rotation in elements, group.reflection_length(rotation))
+cycle = permutation({a1: a2, a2: a12, a12: a1})
+print("cycle", cycle in elements)
+try:
+    group.reflection_length(cycle)
+except RuntimeError as err:
+    print("RuntimeError", err)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_length_refuses_a_fractional_mean_trace(flags):
+    """Cycling A2's positive roots alpha_1 -> alpha_2 -> alpha_1 + alpha_2,
+    and their negatives likewise, is no group element: its mean trace is
+    4/3, and ``reflection_length`` raises RuntimeError, with and without
+    ``python -O``.  The rotation alpha_1 -> alpha_2 -> -alpha_1 - alpha_2
+    has mean trace 0 and length 2."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, *flags, "-c",
+                           FRACTIONAL_TRACE_SCRIPT],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        f"optimize {len(flags)}",
+        "rotation True 2",
+        "cycle False",
+        "RuntimeError A2: mean trace 4/3 is not an integer; the "
+        "permutation is not a group element",
+    ]
 
 
 @pytest.mark.parametrize("name", DIAGRAM_TYPES + ("H4", "E6"))

@@ -93,8 +93,8 @@ def test_root_system_consistency(name):
     for perm, pos in zip(rs.simple_permutations, rs.simple_positions):
         assert _compose(perm, perm) == identity
         assert perm[pos] == pos + total
-    width = 2 * ct.rank if ct.family == "H" else ct.rank
-    assert all(len(row) == width for parts in rs.rows for row in parts)
+    assert rs.roots[:total] == rs.ordered_roots
+    assert all(len(root) == 2 * ct.rank for root in rs.roots)
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "H3"])

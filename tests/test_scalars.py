@@ -1,10 +1,9 @@
-"""The integer arithmetic behind the root system: the exact sign of
-a + b phi in Z[phi], and fraction-free integer rank."""
+"""The exact sign of a + b phi in Z[phi], which decides the positive
+roots of H3 and H4, and the rank over Q that the group tests use as an
+oracle for reflection length."""
 
-import random
 from fractions import Fraction
 
-from ncphom.coxgroup import integer_rank
 from ncphom.rootsys import _nonnegative
 
 PHI = (1 + 5 ** 0.5) / 2
@@ -49,20 +48,3 @@ def _field_rank(rows):
             rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
         rank += 1
     return rank
-
-
-def test_integer_rank_matches_the_field_rank():
-    rng = random.Random(13)
-    for _ in range(300):
-        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
-        rank = rng.randint(0, min(rows, cols))
-        # a random product of two factors has rank at most `rank`
-        left = [[rng.randint(-4, 4) for _ in range(rank)] for _ in range(rows)]
-        right = [[rng.randint(-4, 4) for _ in range(cols)]
-                 for _ in range(rank)]
-        m = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
-             if rank else [0] * cols for row in left]
-        assert integer_rank(m) == _field_rank(m), m
-    assert integer_rank([]) == 0
-    assert integer_rank([[0, 0], [0, 0]]) == 0
-    assert _field_rank([[1, 2], [2, 4]]) == 1
