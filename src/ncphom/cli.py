@@ -156,6 +156,11 @@ def cmd_homology(args) -> int:
         print(f"error: --dump-basis K must be in 0..{ctype.rank} for "
               f"{ctype.name}, got {args.dump_basis}", file=sys.stderr)
         return 2
+    if args.dump_basis is not None and args.dump_complex is not None:
+        print("error: --dump-basis exits without building the complex, "
+              "so it cannot be combined with --dump-complex",
+              file=sys.stderr)
+        return 2
     _, lat, algebra = build_all(args.type)
     try:
         if args.dump_lattice:

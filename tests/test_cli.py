@@ -123,6 +123,19 @@ def test_homology_checks_arguments_before_building(capsys, monkeypatch,
     assert run(capsys, "homology", *argv) == (2, "", err)
 
 
+def test_dump_basis_with_dump_complex_exits_2_and_writes_nothing(
+        capsys, monkeypatch, tmp_path):
+    def build_all(type_name):
+        raise AssertionError(f"built {type_name}")
+    monkeypatch.setattr("ncphom.cli.build_all", build_all)
+    outdir = tmp_path / "cx"
+    assert run(capsys, "homology", "A2", "FP", "--dump-basis", "1",
+               "--dump-complex", str(outdir)) == (
+        2, "", "error: --dump-basis exits without building the complex, "
+               "so it cannot be combined with --dump-complex\n")
+    assert not outdir.exists()
+
+
 def test_bad_arguments_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["homology", "A3", "XX"])
