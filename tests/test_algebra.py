@@ -33,8 +33,8 @@ def brute_alternating_chain(algebra, seq):
             if pos % 2:
                 sign = -sign
             picked = current[pos]
-            current = [algebra._conj(current[j], picked) if j < pos
-                       else current[j]
+            current = [algebra.group.conjugate_position(current[j], picked)
+                       if j < pos else current[j]
                        for j in range(len(current)) if j != pos]
             originals.pop(pos)
             key.append(picked)
@@ -47,11 +47,21 @@ def test_alternating_chain_matches_extraction_oracle(name):
     algebra = algebra_for(name)
     rng = random.Random(17)
     n = algebra.group.num_reflections
-    for length in (1, 2, 3, 4):
-        for _ in range(12):
+    for length in (0, 1, 2, 3, 4):
+        for trial in range(12):
             seq = tuple(rng.randrange(n) for _ in range(length))
-            assert algebra.alternating_chain(seq) == brute_alternating_chain(
-                algebra, seq)
+            expected = brute_alternating_chain(algebra, seq)
+            cut = {}
+            for key, c in expected.items():
+                add_into(cut, key[:-1], c)
+            # cycles first on half the sequences, so the two kinds cannot
+            # share one memo
+            if trial % 2:
+                assert algebra.interval_cycle(seq) == cut
+                assert algebra.alternating_chain(seq) == expected
+            else:
+                assert algebra.alternating_chain(seq) == expected
+                assert algebra.interval_cycle(seq) == cut
 
 
 def test_pinned_a2_chains():
@@ -60,6 +70,8 @@ def test_pinned_a2_chains():
     assert algebra.alternating_chain((2, 1)) == {(2, 1): 1, (1, 0): -1}
     assert algebra.interval_cycle((2, 1)) == {(2,): 1, (1,): -1}
     assert algebra.alternating_chain(()) == {(): 1}
+    assert algebra.interval_cycle(()) == algebra.interval_cycle((1,)) == {
+        (): 1}
 
 
 def test_chain_keys_stay_reduced_in_the_lattice():

@@ -248,13 +248,13 @@ def test_keys_multiply_like_ambient_matrices(name):
     group, rs, matrix_of, identity = _simple_root_matrices(name)
     assert len(matrix_of) == group.ctype.group_order
     assert len(set(matrix_of.values())) == len(matrix_of)
-    roots = rs.ordered_roots + tuple(tuple(-x for x in r)
-                                     for r in rs.ordered_roots)
+    positive = rs.roots[:group.num_reflections]
+    roots = positive + tuple(tuple(-x for x in r) for r in positive)
     # keys are the permutations the matrices induce on the 2N roots
     where = {r: j for j, r in enumerate(roots)}
     for w, mat in matrix_of.items():
         assert w == tuple(where[_mat_vec(mat, r)] for r in roots)
-    for k, root in enumerate(rs.ordered_roots):
+    for k, root in enumerate(positive):
         mat = matrix_of[group.reflection(k)]
         assert _mat_vec(mat, root) == roots[k + group.num_reflections]
         assert _mat_mul(mat, mat) == identity

@@ -58,7 +58,7 @@ def test_a3_reflection_order_is_pinned():
     """The root recurrence order everything downstream depends on, in
     simple-root coordinates (A3 has no golden half)."""
     rs = RootSystem(CoxeterType.parse("A3"))
-    assert [r[:3] for r in rs.ordered_roots] == [
+    assert [r[:3] for r in rs.roots[:6]] == [
         (1, 0, 0),
         (0, 0, 1),
         (1, 1, 1),
@@ -66,7 +66,7 @@ def test_a3_reflection_order_is_pinned():
         (1, 1, 0),
         (0, 1, 0),
     ]
-    assert not any(any(r[3:]) for r in rs.ordered_roots)
+    assert not any(any(r[3:]) for r in rs.roots[:6])
     assert rs.color_classes == ((0, 2), (1,))
 
 
@@ -79,8 +79,8 @@ def test_root_system_consistency(name):
     ct = CoxeterType.parse(name)
     rs = RootSystem(ct)
     total = ct.num_reflections
-    assert len(rs.ordered_roots) == total
-    assert len(set(rs.ordered_roots)) == total
+    assert len(rs.roots) == 2 * total
+    assert len(set(rs.roots[:total])) == total
     identity = tuple(range(2 * total))
     gamma = identity
     for cls in rs.color_classes:
@@ -93,7 +93,6 @@ def test_root_system_consistency(name):
     for perm, pos in zip(rs.simple_permutations, rs.simple_positions):
         assert _compose(perm, perm) == identity
         assert perm[pos] == pos + total
-    assert rs.roots[:total] == rs.ordered_roots
     assert all(len(root) == 2 * ct.rank for root in rs.roots)
 
 
@@ -131,7 +130,7 @@ def test_gamma_rotates_the_root_recurrence():
         rs = RootSystem(CoxeterType.parse(name))
         n = rs.ctype.rank
         first, second = rs.color_classes
-        roots = [r[:n] for r in rs.ordered_roots]
+        roots = [r[:n] for r in rs.roots[:rs.ctype.num_reflections]]
         for k in range(n, len(roots)):
             image = roots[k - n]
             for j in second + first:
@@ -152,8 +151,8 @@ HIGHEST_ROOTS = {
 def test_highest_root_follows_bourbaki_numbering(name):
     rs = RootSystem(CoxeterType.parse(name))
     n = rs.ctype.rank
-    assert max((r[:n] for r in rs.ordered_roots), key=sum) == HIGHEST_ROOTS[
-        name]
+    positive = rs.roots[:rs.ctype.num_reflections]
+    assert max((r[:n] for r in positive), key=sum) == HIGHEST_ROOTS[name]
 
 
 @pytest.mark.parametrize("name,bonds", [
