@@ -1,5 +1,5 @@
 """Signed factorization chains: the Hurwitz action, the antisymmetrized
-chains attached to reduced factorizations, their truncation cycles, the
+chains attached to reduced factorizations, their interval cycles, the
 shuffle product, and unitriangular basis reduction.
 
 A chain is a dict mapping label sequences (tuples of 0-based reflection
@@ -12,8 +12,12 @@ positions) to nonzero integers.  The central constructions:
                                                t_{i+1}, ..., t_k))
 
   with memoization on subsequences,
-- ``interval_cycle(s)``: its truncation (drop the last entry of every key),
-  a top-homology cycle of the open interval under the product of s,
+- ``interval_cycle(s)``: the same recursion stopped when one entry is
+  left, which contributes the empty key.  This is exactly the alternating
+  chain with the last entry of every key dropped: dropping it commutes
+  with prepending t_i, and no two keys merge, since every key multiplies
+  to the product of s and so forces its last entry.  It is a
+  top-homology cycle of the open interval under the product of s,
 - ``shuffle_product``: the signed shuffle with braid-lifted crossings; the
   product of two single-entry chains recovers alternating_chain of the pair,
 - ``reduced_product``: shuffle followed by projection onto keys that are
@@ -73,14 +77,11 @@ class ChainAlgebra:
     def __init__(self, lat: PartitionLattice):
         self.lat = lat
         self.group = lat.group
-        self._beta_memo: dict = {(): {(): 1}}
+        self._chain_memo: tuple = ({}, {})  # one per cut
         self._product_memo: dict = {}
         self._labels_memo: dict = {}
         self._basis_memo: dict = {}
         self._coords_memo: dict = {}
-
-    def _conj(self, i: int, j: int) -> int:
-        return self.group.conjugate_position(i, j)
 
     # -- Hurwitz action ------------------------------------------------------
 
@@ -89,46 +90,41 @@ class ChainAlgebra:
         if not 0 <= i < len(seq) - 1:
             raise IndexError(f"move {i} out of range for length {len(seq)}")
         a, b = seq[i], seq[i + 1]
-        if inverse:
-            pair = (self._conj(b, a), a)
-        else:
-            pair = (b, self._conj(a, b))
+        conj = self.group.conjugate_position
+        pair = (conj(b, a), a) if inverse else (b, conj(a, b))
         return seq[:i] + pair + seq[i + 2:]
 
     def deleted_conjugate(self, seq, i: int):
         """Drop entry i and conjugate every earlier entry by it; the result
         multiplies to t_i * product(seq)."""
-        ti = seq[i]
-        return (tuple(self._conj(seq[j], ti) for j in range(i))
-                + seq[i + 1:])
+        conj, ti = self.group.conjugate_position, seq[i]
+        return tuple(conj(seq[j], ti) for j in range(i)) + seq[i + 1:]
 
     # -- the antisymmetrized chains ------------------------------------------
 
     def alternating_chain(self, seq) -> Chain:
-        seq = tuple(seq)
-        memo = self._beta_memo
+        return self._chain(tuple(seq), 0)
+
+    def interval_cycle(self, seq) -> Chain:
+        return self._chain(tuple(seq), 1)
+
+    def _chain(self, seq, cut: int) -> Chain:
+        """The first-entry recursion, stopped when ``cut`` entries are
+        left: the alternating chain at cut 0, the interval cycle at 1."""
+        if len(seq) <= cut:
+            return {(): 1}
+        memo = self._chain_memo[cut]
         out = memo.get(seq)
         if out is not None:
             return out
-        result: Chain = {}
-        for i in range(len(seq)):
-            sub = self.alternating_chain(self.deleted_conjugate(seq, i))
+        out = {}
+        for i, ti in enumerate(seq):
             sign = -1 if i % 2 else 1
-            ti = seq[i]
-            for key, c in sub.items():
-                add_into(result, (ti,) + key, sign * c)
-        memo[seq] = result
-        return result
-
-    def truncate(self, chain: Chain) -> Chain:
-        """The boundary-to-cycle map: drop the last entry of every key."""
-        out: Chain = {}
-        for key, c in chain.items():
-            add_into(out, key[:-1], c)
+            for key, c in self._chain(self.deleted_conjugate(seq, i),
+                                      cut).items():
+                add_into(out, (ti,) + key, sign * c)
+        memo[seq] = out
         return out
-
-    def interval_cycle(self, seq) -> Chain:
-        return self.truncate(self.alternating_chain(seq))
 
     # -- shuffle product -----------------------------------------------------
 
@@ -144,8 +140,8 @@ class ChainAlgebra:
         for key, sign in self._star_keys(s[1:], u):
             yield (head_s,) + key, sign
         factor = -1 if len(s) % 2 else 1
-        conj_s = tuple(self._conj(a, u[0]) for a in s)
         head_u = u[0]
+        conj_s = tuple(self.group.conjugate_position(a, head_u) for a in s)
         for key, sign in self._star_keys(conj_s, u[1:]):
             yield (head_u,) + key, factor * sign
 
@@ -175,14 +171,11 @@ class ChainAlgebra:
         memo[seq] = vid
         return vid
 
-    def project_to_algebra(self, chain: Chain) -> Chain:
-        """Kill keys that are non-reduced or whose product leaves the
-        lattice."""
-        return {key: c for key, c in chain.items()
-                if self._reduced_lattice_id(key) is not None}
-
     def reduced_product(self, x: Chain, y: Chain) -> Chain:
-        return self.project_to_algebra(self.shuffle_product(x, y))
+        """The shuffle product without the keys that are non-reduced or
+        whose product leaves the lattice."""
+        return {key: c for key, c in self.shuffle_product(x, y).items()
+                if self._reduced_lattice_id(key) is not None}
 
     def generator(self, tpos: int) -> Chain:
         return {(tpos,): 1}

@@ -214,7 +214,6 @@ class RootSystem:
             raise RuntimeError(
                 f"{ctype}: the root recurrence does not list each positive "
                 "root once")
-        self.ordered_roots = tuple(rho)
 
         roots = rho + [tuple(-x for x in r) for r in rho]
         where = {r: k for k, r in enumerate(roots)}
