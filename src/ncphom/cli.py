@@ -5,7 +5,8 @@ a stable text, JSON, or CSV form; ``verify`` recomputes reference rows
 and structural invariants and reports one line per check.
 
 Exit codes: 0 success, 1 verification mismatch, 2 argument, type parse,
-dump path or ``NCPHOM_WORKERS`` error, 3 group enumeration cap exceeded.
+dump path or ``NCPHOM_WORKERS`` error, 3 the table is too large: group
+cap, tensor entry cap, or out of memory.
 
 ``NCPHOM_WORKERS`` sets how many verification tasks run in parallel
 (default: the machine's CPU count; 1 disables the process pool).
@@ -161,8 +162,8 @@ def cmd_homology(args) -> int:
               "so it cannot be combined with --dump-complex",
               file=sys.stderr)
         return 2
-    _, lat, algebra = build_all(args.type)
     try:
+        _, lat, algebra = build_all(args.type)
         if args.dump_lattice:
             dump_lattice(lat, args.dump_lattice)
         if args.dump_basis is not None:
@@ -173,13 +174,17 @@ def cmd_homology(args) -> int:
                                             cap=args.group_cap),
                          args.dump_complex)
         complex_ = build_complex(algebra, args.space, cap=args.group_cap)
+        groups = homology_of(complex_)
     except GroupCapExceeded as err:
         print(f"error: {err}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print(f"error: out of memory computing {args.space} of {ctype.name}",
+              file=sys.stderr)
         return 3
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    groups = homology_of(complex_)
     if args.format == "text":
         print(format_text(groups))
     elif args.format == "json":

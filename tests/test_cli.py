@@ -100,6 +100,15 @@ def test_tensor_size_cap_exits_3_and_skips_in_verify(capsys, monkeypatch):
     assert lines[1] == "0 passed, 0 failed, 1 skipped"
 
 
+def test_out_of_memory_exits_3(capsys, monkeypatch):
+    def homology_of(complex_):
+        raise MemoryError
+    monkeypatch.setattr("ncphom.cli.homology_of", homology_of)
+    code, out, err = run(capsys, "homology", "A2", "FP")
+    assert (code, out) == (3, "")
+    assert err == "error: out of memory computing FP of A2\n"
+
+
 @pytest.mark.parametrize("cap", ["0", "-1"])
 def test_homology_rejects_group_cap_below_one(capsys, cap):
     code, out, err = run(capsys, "homology", "A3", "FQ", "--group-cap", cap)
