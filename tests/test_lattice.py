@@ -203,6 +203,54 @@ def test_interval_ids_are_sorted_by_rank():
     assert all(lat.leq(atom, i) for i in sub)
 
 
+FLOOR_TYPES = ("A4", "B4", "D4", "F4", "H3", "H4", "I2(7)")
+
+
+@pytest.mark.parametrize("name", FLOOR_TYPES)
+def test_decreasing_factorizations_filter_the_reduced_ones(name):
+    """For floor -1 and every reflection position, the decreasing
+    factorizations above the floor are the strictly decreasing reduced
+    factorizations whose last entry exceeds it, in the same order."""
+    lat = lattice_for(name)
+    floors = range(-1, lat.group.num_reflections)
+    for vid in range(lat.size):
+        dec = [seq for seq in lat.reduced_factorizations(vid)
+               if all(a > b for a, b in zip(seq, seq[1:]))]
+        for floor in floors:
+            assert lat.decreasing_factorizations(vid, floor) == tuple(
+                seq for seq in dec if not seq or seq[-1] > floor)
+
+
+@pytest.mark.parametrize("name", FLOOR_TYPES)
+def test_rank_prefix_basis_matches_the_filter(name):
+    """Each rank-k basis label is a strictly decreasing reduced
+    factorization of a rank-k element whose last entry exceeds the first
+    label of its increasing chain to gamma, extended by that label."""
+    lat = lattice_for(name)
+    for k in range(lat.n):
+        seqs = []
+        for wid in lat.by_rank[k]:
+            first = lat.increasing_chain(wid, lat.gamma_id)[0]
+            for seq in lat.reduced_factorizations(wid):
+                label = seq + (first,)
+                if all(a > b for a, b in zip(label, label[1:])):
+                    seqs.append(label)
+        assert lat.rank_prefix_basis(k) == tuple(sorted(seqs))
+
+
+@pytest.mark.parametrize("name", FLOOR_TYPES)
+def test_interval_ids_list_the_interval_by_rank_then_id(name):
+    lat = lattice_for(name)
+    for uid in range(lat.size):
+        for vid in range(lat.size):
+            if not lat.leq(uid, vid):
+                continue
+            expected = sorted((w for w in range(lat.size)
+                               if lat.leq(uid, w) and lat.leq(w, vid)),
+                              key=lambda w: (lat.rank[w], w))
+            assert lat.interval_ids(uid, vid) == expected
+
+
 def test_lattice_index_holds_the_interval():
     lat = lattice_for("A3")
     group = lat.group
