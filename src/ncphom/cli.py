@@ -6,7 +6,8 @@ and structural invariants and reports one line per check.
 
 Exit codes: 0 success, 1 verification mismatch, 2 argument, type parse,
 dump path or ``NCPHOM_WORKERS`` error, 3 the table is too large: group
-cap, tensor entry cap, or out of memory.
+cap, tensor entry cap, or out of memory.  ``verify`` reports a check that
+runs out of memory as a SKIP line.
 
 ``NCPHOM_WORKERS`` sets how many verification tasks run in parallel
 (default: the machine's CPU count; 1 disables the process pool).
@@ -131,6 +132,10 @@ def dump_complex(complex_, outdir: str) -> None:
         json.dump({"name": complex_.name, "labels": bases}, handle)
 
 
+def _out_of_memory(what: str, type_name: str) -> str:
+    return f"out of memory computing {what} of {type_name}"
+
+
 # -- homology command --------------------------------------------------------
 
 def _bad_bound(name: str, value) -> bool:
@@ -179,7 +184,7 @@ def cmd_homology(args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 3
     except MemoryError:
-        print(f"error: out of memory computing {args.space} of {ctype.name}",
+        print(f"error: {_out_of_memory(args.space, ctype.name)}",
               file=sys.stderr)
         return 3
     except OSError as err:
@@ -210,9 +215,11 @@ def _table_task(task):
     try:
         _, _, algebra = build_all(type_name)
         complex_ = build_complex(algebra, space, cap=cap)
+        groups = homology_of(complex_)
     except GroupCapExceeded as err:
         return (label, "SKIP", str(err))
-    groups = homology_of(complex_)
+    except MemoryError:
+        return (label, "SKIP", _out_of_memory(space, type_name))
     euler = euler_characteristic(complex_)
     expected = list(row.groups)
     if len(groups) != len(expected) or any(
@@ -226,12 +233,17 @@ def _table_task(task):
 
 
 def _invariant_task(task):
-    """Run the property suite for one type.  Returns a result list."""
+    """Run the property suite for one type.  Returns a result list: the
+    checks that finished, then one SKIP line if memory ran out."""
     type_name, seed = task
     out = []
-    for name, ok, detail in property_suite(type_name, seed=seed):
-        out.append((f"invariants {type_name} {name}",
-                    "PASS" if ok else "FAIL", detail))
+    try:
+        for name, ok, detail in property_suite(type_name, seed=seed):
+            out.append((f"invariants {type_name} {name}",
+                        "PASS" if ok else "FAIL", detail))
+    except MemoryError:
+        out.append((f"invariants {type_name}", "SKIP",
+                     _out_of_memory("invariants", type_name)))
     return out
 
 

@@ -21,9 +21,11 @@ combinatorially:
   closure edge u = v t is t itself,
 - the reflections below v, which are exactly the labels of its lower covers:
   t <= v when l(v t) = l(v) - 1, since t v = t (v t) t has the length of v t,
-- reduced and decreasing factorization enumeration by memoized last-letter
-  peeling: the reduced factorizations of v ending in t are those of u
-  followed by t, for the lower cover (t, u) of v,
+- factorizations by one memoized last-letter peeling with an optional
+  floor: the reduced factorizations of v ending in t are those of u
+  followed by t, for the lower cover (t, u) of v; with a floor f, only
+  labels t > f are peeled and u is peeled with floor t, which gives the
+  strictly decreasing ones with every entry above f,
 - the unique increasing maximal chain of any interval by greedy least-label
   steps (its uniqueness is a property test, not an assumption of the code),
 - Moebius values by recursion over the bitsets.
@@ -125,8 +127,7 @@ class PartitionLattice:
             bits[i] = b
         self.leq_bits = bits
 
-        self._rex_memo: dict = {}
-        self._dec_memo: dict = {}
+        self._factorization_memo: dict = {}
         self._mobius: list | None = None
 
     # -- order ---------------------------------------------------------------
@@ -138,11 +139,11 @@ class PartitionLattice:
         return self.by_rank[k]
 
     def interval_ids(self, uid: int, vid: int):
-        """All ids in [u, v], ascending by (rank, id)."""
-        out = [wid for wid in self._bit_ids(self.leq_bits[vid])
-               if self.leq(uid, wid)]
-        out.sort(key=lambda wid: (self.rank[wid], wid))
-        return out
+        """All ids in [u, v], ascending by (rank, id): ids are assigned
+        rank by rank and ``_bit_ids`` yields them ascending, so no sort is
+        needed."""
+        return [wid for wid in self._bit_ids(self.leq_bits[vid])
+                if self.leq(uid, wid)]
 
     def _bit_ids(self, bitmask: int):
         while bitmask:
@@ -156,38 +157,29 @@ class PartitionLattice:
 
     # -- factorizations ------------------------------------------------------
 
+    def _factorizations(self, vid: int, floor):
+        """Reduced factorizations of v, lex order: all of them for floor
+        None, else the strictly decreasing ones with entries > floor."""
+        state = (vid, floor)
+        out = self._factorization_memo.get(state)
+        if out is None:
+            out = ((),) if vid == self.identity_id else tuple(sorted(
+                rest + (tpos,)
+                for tpos, uid in self.lower_covers[vid]
+                if floor is None or tpos > floor
+                for rest in self._factorizations(
+                    uid, None if floor is None else tpos)))
+            self._factorization_memo[state] = out
+        return out
+
     def reduced_factorizations(self, vid: int):
         """All reduced factorizations of v, as label tuples, lex order."""
-        memo = self._rex_memo
-        out = memo.get(vid)
-        if out is not None:
-            return out
-        if vid == self.identity_id:
-            out = ((),)
-        else:
-            out = tuple(sorted(rest + (tpos,)
-                               for tpos, uid in self.lower_covers[vid]
-                               for rest in self.reduced_factorizations(uid)))
-        memo[vid] = out
-        return out
+        return self._factorizations(vid, None)
 
     def decreasing_factorizations(self, vid: int, floor: int = -1):
         """Strictly decreasing reduced factorizations (entries > floor),
         lex order."""
-        memo = self._dec_memo
-        state = (vid, floor)
-        out = memo.get(state)
-        if out is not None:
-            return out
-        if vid == self.identity_id:
-            out = ((),)
-        else:
-            out = tuple(sorted(
-                rest + (tpos,)
-                for tpos, uid in self.lower_covers[vid] if tpos > floor
-                for rest in self.decreasing_factorizations(uid, tpos)))
-        memo[state] = out
-        return out
+        return self._factorizations(vid, floor)
 
     # -- chains and bases ----------------------------------------------------
 
@@ -211,8 +203,9 @@ class PartitionLattice:
         chain up to gamma; lex-sorted.
 
         Each returned sequence has length k+1; the extension label must stay
-        below the last prefix entry, and the full increasing completion is
-        checked to be strictly increasing.
+        below every prefix entry, so the prefixes are the decreasing
+        factorizations with that label as floor; the full increasing
+        completion is checked to be strictly increasing.
         """
         seqs = []
         for wid in self.by_rank[k]:
@@ -221,9 +214,8 @@ class PartitionLattice:
             _require(all(a < b for a, b in zip(completion, completion[1:])),
                      "greedy completion must be increasing")
             first = completion[0]
-            for prefix in self.decreasing_factorizations(wid):
-                if not prefix or prefix[-1] > first:
-                    seqs.append(prefix + (first,))
+            seqs.extend(prefix + (first,) for prefix
+                        in self.decreasing_factorizations(wid, first))
         return tuple(sorted(seqs))
 
     def mobius(self, vid: int) -> int:

@@ -109,6 +109,34 @@ def test_out_of_memory_exits_3(capsys, monkeypatch):
     assert err == "error: out of memory computing FP of A2\n"
 
 
+def test_verify_tables_reports_out_of_memory_as_skip(capsys, monkeypatch):
+    def homology_of(complex_):
+        raise MemoryError
+    monkeypatch.setattr("ncphom.cli.homology_of", homology_of)
+    code, out, err = run(capsys, "verify", "tables", "--type", "A2",
+                         "--space", "FP")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "SKIP tables A2 FP: out of memory computing FP of A2",
+        "0 passed, 0 failed, 1 skipped",
+    ]
+
+
+def test_verify_invariants_keep_finished_checks_when_out_of_memory(
+        capsys, monkeypatch):
+    def property_suite(type_name, seed=0):
+        yield ("first-check", True, "done")
+        raise MemoryError
+    monkeypatch.setattr("ncphom.cli.property_suite", property_suite)
+    code, out, err = run(capsys, "verify", "invariants", "--type", "A2")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "PASS invariants A2 first-check: done",
+        "SKIP invariants A2: out of memory computing invariants of A2",
+        "1 passed, 0 failed, 1 skipped",
+    ]
+
+
 @pytest.mark.parametrize("cap", ["0", "-1"])
 def test_homology_rejects_group_cap_below_one(capsys, cap):
     code, out, err = run(capsys, "homology", "A3", "FQ", "--group-cap", cap)
