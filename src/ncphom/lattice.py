@@ -157,7 +157,7 @@ class PartitionLattice:
 
     # -- factorizations ------------------------------------------------------
 
-    def _factorizations(self, vid: int, floor):
+    def _factorizations(self, vid: int, floor: int | None):
         """Reduced factorizations of v, lex order: all of them for floor
         None, else the strictly decreasing ones with entries > floor."""
         state = (vid, floor)
