@@ -369,6 +369,18 @@ def test_verify_skips_over_cap(capsys):
     assert lines[1] == "0 passed, 0 failed, 1 skipped"
 
 
+def test_verify_group_cap_skips_fq0_but_never_fp(capsys):
+    # FP never enumerates the group, so the cap cannot refuse it.
+    code, out, _ = run(capsys, "verify", "tables", "--type", "A2",
+                       "--group-cap", "1")
+    assert code == 0
+    assert out.splitlines() == [
+        "PASS tables A2 FP: H0=Z H1=Z^2",
+        "SKIP tables A2 FQ0: |W(A2)| = 6 exceeds the cap 1",
+        "1 passed, 0 failed, 1 skipped",
+    ]
+
+
 def test_verify_rejects_bad_type_upfront(capsys):
     code, _, err = run(capsys, "verify", "tables", "--type", "D2")
     assert code == 2
