@@ -47,7 +47,7 @@ space, the plain deletions, the algebra complex), they come from
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from heapq import heapify, heappop, heappush
 
 from .lattice import PartitionLattice
@@ -296,8 +296,8 @@ class ChainAlgebra:
         return coords
 
 
-@dataclass(frozen=True)
-class GradedBasis:
+class GradedBasis(namedtuple(
+        "GradedBasis", "degree labels expansions max_key_to_pos leading")):
     """An ordered unitriangular basis of one graded piece.
 
     ``max_key_to_pos`` sends the lex-maximal expansion key of each entry
@@ -307,8 +307,4 @@ class GradedBasis:
     the peel, the check of that solve.
     """
 
-    degree: int
-    labels: tuple
-    expansions: tuple
-    max_key_to_pos: dict
-    leading: tuple
+    __slots__ = ()

@@ -10,13 +10,14 @@ cap, tensor entry cap, or out of memory.  ``verify`` reports a check that
 runs out of memory as a SKIP line.
 
 ``NCPHOM_WORKERS`` sets how many verification tasks run in parallel
-(default: the machine's CPU count; 1 disables the process pool).
+(default: the machine's CPU count; 1 disables the process pool).  The
+pool module is imported only when a pool starts, that is, with more
+than one worker and more than one task.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import os
 import sys
@@ -288,7 +289,9 @@ def _invariant_tasks(args):
 
 def _run_tasks(fn, tasks, workers: int):
     if workers > 1 and len(tasks) > 1:
-        with concurrent.futures.ProcessPoolExecutor(workers) as pool:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(workers) as pool:
             yield from pool.map(fn, tasks)
     else:
         for task in tasks:
@@ -355,7 +358,8 @@ def make_parser() -> argparse.ArgumentParser:
                      default="text")
     hom.add_argument("--group-cap", type=int, default=DEFAULT_GROUP_CAP,
                      help="refuse to enumerate groups larger than this "
-                          "(at least 1)")
+                          "(at least 1); only FQ, FQ0 and M enumerate the "
+                          "group")
     hom.add_argument("--dump-lattice", metavar="PATH",
                      help="write the lattice (elements, ranks, labelled "
                           "covers) as JSON to PATH")
@@ -383,8 +387,10 @@ def make_parser() -> argparse.ArgumentParser:
                      help="rank bound (at least 1) for the default "
                           "selections")
     ver.add_argument("--group-cap", type=int, default=DEFAULT_GROUP_CAP,
-                     help="skip tables whose group is larger than this "
-                          "(at least 1)")
+                     help="skip FQ and FQ0 tables whose group is larger "
+                          "than this (at least 1); the cap applies only to "
+                          "the spaces that enumerate the group (FQ, FQ0, "
+                          "M), never to FP")
     ver.add_argument("--seed", type=int, default=0,
                      help="seed for randomized invariants")
     ver.set_defaults(fn=cmd_verify)

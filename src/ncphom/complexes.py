@@ -78,8 +78,6 @@ law be checked for groups too large to enumerate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .chain_algebra import ChainAlgebra
 from .coxgroup import DEFAULT_GROUP_CAP, GroupCapExceeded
 from .homology import BoundaryMatrix, compose
@@ -105,7 +103,6 @@ class TensorSizeExceeded(GroupCapExceeded):
     homology`` exits 3 and ``verify tables`` skips the table."""
 
 
-@dataclass
 class ChainComplex:
     """A bounded complex of free abelian groups with labelled bases.
 
@@ -114,11 +111,13 @@ class ChainComplex:
     the lowest chain degree.
     """
 
-    name: str
-    degrees: list
-    dims: dict
-    matrices: dict
-    labels: dict = field(default_factory=dict)
+    def __init__(self, name: str, degrees: list, dims: dict, matrices: dict,
+                 labels: dict | None = None):
+        self.name = name
+        self.degrees = degrees
+        self.dims = dims
+        self.matrices = matrices
+        self.labels = {} if labels is None else labels
 
     def check_square_zero(self) -> None:
         for d in self.degrees[2:]:

@@ -57,20 +57,20 @@ lowest degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from heapq import heapify, heappop, heappush
 from math import gcd
 
 DENSE_LIMIT = 200
 
 
-@dataclass
 class BoundaryMatrix:
     """Sparse integer matrix: entries[(row, col)] = nonzero value."""
 
-    rows: int
-    cols: int
-    entries: dict = field(default_factory=dict)
+    def __init__(self, rows: int, cols: int, entries: dict | None = None):
+        self.rows = rows
+        self.cols = cols
+        self.entries = {} if entries is None else entries
 
 
 def compose(a: BoundaryMatrix, b: BoundaryMatrix) -> BoundaryMatrix:
@@ -235,23 +235,22 @@ def _divisibility_fixup(factors):
     return ones + factors
 
 
-@dataclass(frozen=True)
-class HomologyGroup:
+class HomologyGroup(namedtuple("HomologyGroup", "free_rank torsion")):
     """One integral homology group: free rank plus invariant-factor
     torsion (each factor > 1, each dividing the next)."""
 
-    free_rank: int
-    torsion: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.free_rank < 0:
-            raise ValueError(f"negative free rank {self.free_rank}")
-        if any(t <= 1 for t in self.torsion):
-            raise ValueError(f"torsion factors must exceed 1: {self.torsion}")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+    def __new__(cls, free_rank: int, torsion: tuple = ()):
+        if free_rank < 0:
+            raise ValueError(f"negative free rank {free_rank}")
+        if any(t <= 1 for t in torsion):
+            raise ValueError(f"torsion factors must exceed 1: {torsion}")
+        for a, b in zip(torsion, torsion[1:]):
             if b % a:
                 raise ValueError(
-                    f"torsion factors must divide the next: {self.torsion}")
+                    f"torsion factors must divide the next: {torsion}")
+        return super().__new__(cls, free_rank, torsion)
 
     @property
     def is_trivial(self) -> bool:

@@ -19,8 +19,6 @@ group (see complexes.group_ring_square_is_zero).
 
 from __future__ import annotations
 
-import random
-
 from .chain_algebra import ChainAlgebra, chain_sum
 from .complexes import (_unreduced_complex, build_algebra_complex,
                         build_complex, fibre_support_is_reflections,
@@ -38,6 +36,8 @@ SUPPORTED_RANK4 = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "D3", "D4",
 
 def property_suite(type_name: str, seed: int = 0):
     """Run every invariant for one type; yields (name, ok, detail)."""
+    import random
+
     group = CoxeterGroup.from_name(type_name)
     lat = PartitionLattice(group)
     algebra = ChainAlgebra(lat)

@@ -1,9 +1,10 @@
 """Bundled reference tables of integral homology, with lookup.
 
-Rows are loaded from the JSON files under ``data/``.  Each row carries a
-type name, a space token, one homology group per topological degree
-(``None`` where the value is not known), an Euler characteristic, a
-source tag naming the bundled table, and a status:
+Rows are read from the JSON files in the ``data`` directory beside this
+module, once per process.  Each row carries a type name, a space token,
+one homology group per topological degree (``None`` where the value is
+not known), an Euler characteristic, a source tag naming the bundled
+table, and a status:
 
 - ``ok``            a fully trusted row,
 - ``inconsistent``  the printed groups and Euler characteristic cannot
@@ -18,8 +19,8 @@ FQ0 rows degreewise.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from importlib import resources
+import os
+from collections import namedtuple
 
 from .homology import HomologyGroup
 from .rootsys import CoxeterType, TypeParseError
@@ -31,14 +32,13 @@ DATA_FILES = (
 )
 
 
-@dataclass(frozen=True)
-class ReferenceRow:
-    type_name: str
-    space: str
-    groups: tuple  # HomologyGroup | None per topological degree
-    euler: int
-    source: str
-    status: str = "ok"
+class ReferenceRow(namedtuple(
+        "ReferenceRow", "type_name space groups euler source status",
+        defaults=("ok",))):
+    """One reference table; ``groups`` holds a HomologyGroup, or None,
+    per topological degree."""
+
+    __slots__ = ()
 
     @property
     def complete(self) -> bool:
@@ -66,10 +66,11 @@ def load_rows() -> tuple:
     global _cache
     if _cache is None:
         rows = []
+        here = os.path.dirname(__file__)
         for stem in DATA_FILES:
-            payload = json.loads(
-                resources.files("ncphom.data").joinpath(f"{stem}.json")
-                .read_text())
+            path = os.path.join(here, "data", f"{stem}.json")
+            with open(path, encoding="utf-8") as handle:
+                payload = json.load(handle)
             rows.extend(_decode(r) for r in payload["rows"])
         _cache = rows
     return tuple(_cache)

@@ -34,7 +34,7 @@ The construction fixes, once and for all:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from math import factorial
 
 COXETER_NUMBERS = {
@@ -60,13 +60,12 @@ class TypeParseError(ValueError):
     """Raised for unparseable or unsupported Coxeter type strings."""
 
 
-@dataclass(frozen=True)
-class CoxeterType:
-    """A parsed irreducible finite Coxeter type, e.g. A3 or I2(7)."""
+class CoxeterType(namedtuple("CoxeterType", "family rank dihedral_order",
+                             defaults=(0,))):
+    """A parsed irreducible finite Coxeter type, e.g. A3 or I2(7):
+    family letter, rank, and ``dihedral_order`` m for I2(m), else 0."""
 
-    family: str
-    rank: int
-    dihedral_order: int = 0  # m for I2(m), else 0
+    __slots__ = ()
 
     @staticmethod
     def parse(text: str) -> "CoxeterType":

@@ -472,6 +472,35 @@ def test_python_dash_m_runs_the_cli():
     assert proc.stdout == "H0=Z H1=Z^2 H2=Z^2\n"
 
 
+UNUSED_AT_START_UP = ("dataclasses", "inspect", "typing",
+                      "importlib.resources", "pathlib", "concurrent.futures",
+                      "random")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_start_up_loads_only_what_a_table_run_needs(flags):
+    """Importing the CLI and loading the reference rows leaves the named
+    standard-library modules unloaded: the process pool and ``random``
+    are imported where they are used.  A fresh interpreter is needed, as
+    pytest has loaded them here, and ``-S`` keeps ``.pth`` files in
+    site-packages from loading modules first."""
+    script = ("import sys\n"
+              "import ncphom.cli\n"
+              "ncphom.load_rows()\n"
+              "print(*sorted(sys.modules))\n")
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-S", *flags, "-c", script],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert [m for m in UNUSED_AT_START_UP if m in loaded] == []
+    assert len(loaded) <= 85
+
+
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_failed_invariant_reports_fail_under_optimize(flags):
     """A failing check is reported as FAIL with and without ``python -O``:
