@@ -236,10 +236,11 @@ def _table_task(task):
 def _invariant_task(task):
     """Run the property suite for one type.  Returns a result list: the
     checks that finished, then one SKIP line if memory ran out."""
-    type_name, seed = task
+    type_name, seed, cap = task
     out = []
     try:
-        for name, ok, detail in property_suite(type_name, seed=seed):
+        for name, ok, detail in property_suite(type_name, seed=seed,
+                                               cap=cap):
             out.append((f"invariants {type_name} {name}",
                         "PASS" if ok else "FAIL", detail))
     except MemoryError:
@@ -284,7 +285,7 @@ def _invariant_tasks(args):
         t for t in SUPPORTED_RANK4
         if args.max_rank is None
         or CoxeterType.parse(t).rank <= args.max_rank]
-    return [(t, args.seed) for t in types]
+    return [(t, args.seed, args.group_cap) for t in types]
 
 
 def _run_tasks(fn, tasks, workers: int):
@@ -387,10 +388,11 @@ def make_parser() -> argparse.ArgumentParser:
                      help="rank bound (at least 1) for the default "
                           "selections")
     ver.add_argument("--group-cap", type=int, default=DEFAULT_GROUP_CAP,
-                     help="skip FQ and FQ0 tables whose group is larger "
-                          "than this (at least 1); the cap applies only to "
-                          "the spaces that enumerate the group (FQ, FQ0, "
-                          "M), never to FP")
+                     help="never enumerate a group larger than this (at "
+                          "least 1): skip such FQ and FQ0 tables, and check "
+                          "invariants of such a group in group-ring form; "
+                          "FP never enumerates the group, so the cap never "
+                          "skips it")
     ver.add_argument("--seed", type=int, default=0,
                      help="seed for randomized invariants")
     ver.set_defaults(fn=cmd_verify)

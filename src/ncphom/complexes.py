@@ -24,7 +24,8 @@ plain deletion of a full basis label is itself a label one degree down,
 so it is looked up.  The result is the boundary as a matrix over the
 integral group ring Z[W]: one integer per (row, col, t), with row and col
 basis positions and t the reflection position of the group element, or
--1 for the identity.  Only Z[W] coefficients turn t into an element.
+-1 for the identity.  A reduced label has distinct entries, so each
+(col, t) comes from one deletion and each term is written once.
 
 The identity part of the degree-k M and MW boundary is (-1)^k times the
 algebra differential, which sends each full basis chain to its interval
@@ -50,36 +51,41 @@ keeps 1, 3, 3 and 1 of its 1, 6, 10 and 5 basis chains.
 ``_unreduced_complex`` skips the reduction; ``--dump-complex`` writes
 its matrices, and the pinned digests fix them.
 
-The (reduced) boundary is then tensored with one of three coefficient
-modules:
+Every space then takes the (reduced) boundary through one rule, the
+tensor with a permutation module.  The space names a group Q and, per
+chain degree, the slots of Q that index the copies of the basis: Q is
+the enumerated W for FQ, FQ0 and M, and the one-element group for FP
+and MW, which never enumerate W.  Each term c t is first pushed forward
+to c times the position of t's element in Q, and terms that meet are
+summed.  Over W nothing meets; over the one-element group the
+push-forward is the augmentation Z[W] -> Z, every element going to 1.
+Slot w of a column then sends each term c g to slot w g of its row.
+Every element of Q is a slot in every degree, except in FQ0, whose
+degree-k slots are the elements with the parity k mod 2; right
+multiplication by an odd element swaps the halves.  An entry of even
+parity would leave the half, and the tensoring raises ``RuntimeError``.
 
-- the trivial module Z, every element acting as 1 (FP, MW);
-- Z[W] with W acting by right multiplication (FQ, M);
-- the degree-parity half of Z[W], where the elements in chain degree k
-  have parity k mod 2; right multiplication by an odd element swaps the
-  halves (FQ0).  An entry of even parity would leave the half, and the
-  tensoring raises ``RuntimeError``.
+A boundary tensored over W has its group-ring terms times its slots as
+entries, a count known before tensoring.  Above ``TENSOR_ENTRY_CAP``
+the tensoring raises ``TensorSizeExceeded``, a ``GroupCapExceeded``,
+instead of running out of memory; FP and MW, one slot per chain, are
+exempt.
 
-A boundary tensored with a regular module has its group-ring terms
-times its slots as entries, a count known before tensoring.  Above
-``TENSOR_ENTRY_CAP`` the tensoring raises ``TensorSizeExceeded``, a
-``GroupCapExceeded``, instead of running out of memory.
-
-Group elements are positions in the sorted element list, and every
+Group elements are positions in the element list of Q, and every
 product is read from a right-regular table (``ElementList.right`` in
 ``coxgroup``): the positions of w g for all w, built on first use from
 the simple-reflection products of the element search.  Tables are built
 only for the right factors: the boundary support, the pivot inverses and
 the elements in pivot columns.  Tensoring reads one table entry per slot,
-and since w -> w g is injective, no two terms of a regular module meet
-in one matrix entry.  The group-ring form also lets the square-is-zero
+and since w -> w g is injective, no two terms meet in one matrix entry:
+each is written once.  The group-ring form also lets the square-is-zero
 law be checked for groups too large to enumerate.
 """
 
 from __future__ import annotations
 
 from .chain_algebra import ChainAlgebra
-from .coxgroup import DEFAULT_GROUP_CAP, GroupCapExceeded
+from .coxgroup import DEFAULT_GROUP_CAP, ElementList, GroupCapExceeded
 from .homology import BoundaryMatrix, compose
 
 SPACES = ("FP", "FQ0", "FQ", "M", "MW")
@@ -136,25 +142,29 @@ def group_ring_boundary(algebra: ChainAlgebra, space: str, k: int) -> dict:
     Columns of the group-tensored complexes (FQ, FQ0, M) multiply their
     group slot on the right by these elements; FP and MW map every
     element to 1.  No element is enumerated.
+
+    Each term is written once.  A label is a reduced reflection word, so
+    its entries are distinct: Hurwitz moves would carry a repeated
+    reflection next to its twin, where the two cancel.  So ``label[i] =
+    t`` picks one i per (col, t), and each coordinate dict has distinct
+    rows and nonzero values.
     """
     if space not in SPACES:
         raise ValueError(f"unknown space {space!r}")
     fibre = space in FIBRE_SPACES
     coords_of = algebra.cycle_coords if fibre else algebra.chain_coords
-    acc: dict = {}
+    out: dict = {}
     for col, label in enumerate(algebra.labels(k, fibre)):
         for i in range(k):
             sign = -1 if i % 2 else 1
             t = label[i]
             for row, c in coords_of(
                     algebra.deleted_conjugate(label, i), k - 1).items():
-                key = (row, col, t)
-                acc[key] = acc.get(key, 0) + sign * c
-    acc = {key: c for key, c in acc.items() if c}
+                out[row, col, t] = sign * c
     if not fibre:  # t = -1 is never a reflection position
         for (row, col), c in _plain_deletion(algebra, k).items():
-            acc[row, col, -1] = -c
-    return acc
+            out[row, col, -1] = -c
+    return out
 
 
 def _plain_deletion(algebra: ChainAlgebra, k: int) -> dict:
@@ -178,9 +188,9 @@ def build_complex(algebra: ChainAlgebra, space: str,
                   cap: int = DEFAULT_GROUP_CAP) -> ChainComplex:
     """The complex of one space: the group-ring boundary of every degree,
     with its unit entries eliminated over Z[W] for the group-tensored
-    spaces, tensored with the space's coefficient module."""
+    spaces, tensored with the space's slots."""
     form = _GroupRingComplex(algebra, space, cap)
-    if form.slots is not None:
+    if space not in ("FP", "MW"):  # only Z[W] is reduced
         form.reduce()
     return form.tensor()
 
@@ -193,15 +203,16 @@ def _unreduced_complex(algebra: ChainAlgebra, space: str,
 
 
 class _GroupRingComplex:
-    """The boundaries of one space over the group ring, before the
-    coefficient module: ``boundaries[k] = {(row, col, g): coeff}``, with
-    row and col positions in ``chains[k - 1]`` and ``chains[k]``.
+    """The boundaries of one space pushed forward to its group Q:
+    ``boundaries[k] = {(row, col, g): coeff}``, with row and col positions
+    in ``chains[k - 1]`` and ``chains[k]`` and g the position of an
+    element in ``elements``, the element list of Q.
 
-    For the group-tensored spaces g is an element's position in the
-    sorted element list, and ``slots[k]`` lists the elements indexing the
-    coefficient copies in degree k.  FP and MW have the trivial module
-    (``slots`` is None) and keep the reflection position t, or -1 for
-    the identity, which the module never reads.
+    Q is the enumerated W for FQ, FQ0 and M.  For FP and MW it is the
+    one-element group, whose position map sends the identity and every
+    reflection to 0, so the push-forward is the augmentation Z[W] -> Z.
+    ``slots[k]`` lists the elements of Q that index the copies of the
+    degree-k basis: ``[0]`` for FP and MW.
     """
 
     def __init__(self, algebra: ChainAlgebra, space: str, cap):
@@ -212,24 +223,30 @@ class _GroupRingComplex:
         # Fibre complexes start at degree 1, complements at degree 0.
         fibre = space in FIBRE_SPACES
         self.degrees = list(range(int(fibre), group.rank + 1))
-        self.slots = None
-        if space not in ("FP", "MW"):
+        keys = group.reflection_keys + (group.identity,)  # t = -1: identity
+        if space in ("FP", "MW"):
+            self.elements = ElementList([group.identity],
+                                        dict.fromkeys(keys, 0), [], [None])
+        else:
             self.elements = group.enumerate_elements(cap)
-            self.slots = self._coefficient_slots()
+        self.slots = self._coefficient_slots()
         self.chains = {k: algebra.labels(k, fibre) for k in self.degrees}
-        self.boundaries = {k: group_ring_boundary(algebra, space, k)
-                           for k in self.degrees[1:]}
-        if self.slots is not None:
-            index = self.elements.index
-            ids = [index(t) for t in group.reflection_keys]
-            ids.append(index(group.identity))  # t = -1: identity
-            self.boundaries = {
-                k: {(row, col, ids[t]): c for (row, col, t), c in b.items()}
-                for k, b in self.boundaries.items()}
+        ids = list(map(self.elements.index, keys))
+        self.boundaries = {}
+        for k in self.degrees[1:]:
+            pushed = self.boundaries[k] = {}
+            for (row, col, t), c in group_ring_boundary(algebra, space,
+                                                        k).items():
+                key = (row, col, ids[t])
+                total = pushed.get(key, 0) + c
+                if total:
+                    pushed[key] = total
+                else:
+                    del pushed[key]
 
     def _coefficient_slots(self) -> dict:
-        """Every element in every degree for FQ and M; for FQ0, the
-        elements whose parity is that of the degree."""
+        """Every element of Q in every degree; for FQ0, the elements
+        whose parity is that of the degree."""
         everything = list(range(len(self.elements)))
         if self.space != "FQ0":
             return {k: everything for k in self.degrees}
@@ -308,68 +325,55 @@ class _GroupRingComplex:
                 if not entry:
                     del col[r]
 
-    # -- tensoring with the coefficient module ---------------------------
+    # -- tensoring with the slots ----------------------------------------
 
     def tensor(self) -> ChainComplex:
-        """The integer complex: each basis chain once for the trivial
-        module, and once per slot otherwise, with slot w of a column
-        sending each term c g of a cell to slot w g of its row.  Right
-        multiplication by g is injective, so in the regular modules no two
-        terms meet in one entry, and each is written directly; only the
-        trivial module sums.  Raises ``TensorSizeExceeded`` before
+        """The integer complex: each basis chain once per slot, with slot
+        w of a column sending each term c g of a cell to slot w g of its
+        row.  Right multiplication by g is injective, so no two terms meet
+        in one entry, and each is written directly.  FP and MW keep their
+        plain labels.  Over W, raises ``TensorSizeExceeded`` before
         allocating if a boundary would exceed ``TENSOR_ENTRY_CAP``."""
         slots, chains = self.slots, self.chains
-        for k in self.degrees[1:] if slots is not None else ():
-            terms, copies = len(self.boundaries[k]), len(slots[k])
-            if terms * copies > TENSOR_ENTRY_CAP:
-                raise TensorSizeExceeded(
-                    f"{self.space} of {self.group.ctype}: boundary {k} "
-                    f"needs {terms * copies} entries ({terms} terms x "
-                    f"{copies} slots), over the cap {TENSOR_ENTRY_CAP}")
-        labels = chains if slots is None else {
-            k: tuple((wi, lab) for wi in range(len(slots[k]))
-                     for lab in chains[k])
-            for k in self.degrees}
+        labels = chains
+        if self.space not in ("FP", "MW"):
+            for k in self.degrees[1:]:
+                terms, copies = len(self.boundaries[k]), len(slots[k])
+                if terms * copies > TENSOR_ENTRY_CAP:
+                    raise TensorSizeExceeded(
+                        f"{self.space} of {self.group.ctype}: boundary {k} "
+                        f"needs {terms * copies} entries ({terms} terms x "
+                        f"{copies} slots), over the cap {TENSOR_ENTRY_CAP}")
+            labels = {k: tuple((wi, lab) for wi in range(len(slots[k]))
+                               for lab in chains[k])
+                      for k in self.degrees}
         dims = {k: len(labels[k]) for k in self.degrees}
         matrices = {}
         for k in self.degrees[1:]:
             matrix = matrices[k] = BoundaryMatrix(dims[k - 1], dims[k])
             entries = matrix.entries
-            if slots is None:
-                for (row, col, _), c in self.boundaries[k].items():
-                    total = entries.get((row, col), 0) + c
-                    if total:
-                        entries[row, col] = total
-                    else:
-                        del entries[row, col]
-                continue
             width, prev_width = len(chains[k]), len(chains[k - 1])
             offsets = range(0, width * len(slots[k]), width)
-            position = None  # FQ and M: every element is a slot, in order
-            if self.space == "FQ0":
-                position = [None] * len(self.elements)
-                for i, w in enumerate(slots[k - 1]):
-                    position[w] = i
-            table: dict = {}  # element -> first row of every slot's target
+            first_row = [None] * len(self.elements)
+            for i, w in enumerate(slots[k - 1]):
+                first_row[w] = i * prev_width
+            table: dict = {}  # element -> (first row, first column) per slot
             for (row, col, g), c in self.boundaries[k].items():
                 starts = table.get(g)
                 if starts is None:
-                    starts = table[g] = [
-                        target * prev_width
-                        for target in self._targets(k, g, position)]
-                for start, offset in zip(starts, offsets):
+                    starts = table[g] = list(zip(
+                        self._targets(k, g, first_row), offsets))
+                for start, offset in starts:
                     entries[start + row, offset + col] = c
         return ChainComplex(self.space, self.degrees, dims, matrices, labels)
 
-    def _targets(self, k: int, g: int, position) -> list:
-        """The position of w g among the degree k - 1 slots, for each slot
-        w of degree k; ``position`` maps an element to its degree k - 1
-        slot (None off the parity half), or is None when every element is
-        a slot."""
+    def _targets(self, k: int, g: int, first_row: list) -> list:
+        """The first row of slot w g among the degree k - 1 slots, for
+        each slot w of degree k; ``first_row`` maps an element to the
+        first row of its degree k - 1 slot, or to None off the parity
+        half."""
         product = self.elements.right(g)
-        if position is None:
-            return product
-        targets = [position[product[w]] for w in self.slots[k]]
+        targets = [first_row[product[w]] for w in self.slots[k]]
         if None in targets:
             raise RuntimeError(
                 f"{self.space} of {self.group.ctype}: a degree-{k} "

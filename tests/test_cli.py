@@ -77,6 +77,16 @@ def test_type_parse_error_exits_2(capsys):
     assert "reducible" in err
 
 
+@pytest.mark.parametrize("argv,expected", [
+    (["A3", "MW"], "H0=Z H1=Z H2=Z_2 H3=0\n"),
+    (["H3", "FP"], "H0=Z H1=0 H2=Z^7\n"),
+])
+def test_trivial_module_spaces_pass_group_cap_one(capsys, argv, expected):
+    # FP and MW tensor over the one-element group and never enumerate W.
+    assert run(capsys, "homology", *argv, "--group-cap", "1") == (
+        0, expected, "")
+
+
 def test_group_cap_exits_3(capsys):
     code, _, err = run(capsys, "homology", "B4", "M", "--group-cap", "100")
     assert code == 3
@@ -124,7 +134,7 @@ def test_verify_tables_reports_out_of_memory_as_skip(capsys, monkeypatch):
 
 def test_verify_invariants_keep_finished_checks_when_out_of_memory(
         capsys, monkeypatch):
-    def property_suite(type_name, seed=0):
+    def property_suite(type_name, seed=0, cap=None):
         yield ("first-check", True, "done")
         raise MemoryError
     monkeypatch.setattr("ncphom.cli.property_suite", property_suite)
@@ -379,6 +389,25 @@ def test_verify_group_cap_skips_fq0_but_never_fp(capsys):
         "SKIP tables A2 FQ0: |W(A2)| = 6 exceeds the cap 1",
         "1 passed, 0 failed, 1 skipped",
     ]
+
+
+@pytest.mark.parametrize("cap,squares,doubling", [
+    ([], "FP materialized, MW materialized, FQ materialized, "
+         "FQ0 materialized, M materialized",
+     "support check + numeric comparison"),
+    (["--group-cap", "1"], "FP materialized, MW materialized, "
+                           "FQ/FQ0/M in group-ring form",
+     "support check (group too large to enumerate)"),
+], ids=["default", "cap-1"])
+def test_verify_invariants_enumerate_only_within_the_group_cap(
+        capsys, cap, squares, doubling):
+    code, out, _ = run(capsys, "verify", "invariants", "--type", "A3", *cap)
+    assert code == 0
+    lines = out.splitlines()
+    assert (f"PASS invariants A3 boundary-squares-vanish: {squares}"
+            in lines)
+    assert f"PASS invariants A3 fibre-doubling: {doubling}" in lines
+    assert lines[-1] == "12 passed, 0 failed, 0 skipped"
 
 
 def test_verify_rejects_bad_type_upfront(capsys):

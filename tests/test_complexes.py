@@ -292,6 +292,27 @@ def test_group_ring_boundary_matches_materialized_fibre():
                 cx.matrices[k].entries)
 
 
+@pytest.mark.parametrize("name", ["A3", "B3", "D4", "H3", "F4"])
+@pytest.mark.parametrize("space", ["FP", "M"])
+def test_group_ring_boundary_writes_each_term_once(name, space):
+    """Every basis label has distinct entries, so no two deletions meet
+    at one (row, col, t): the boundary has one term per coordinate of a
+    conjugating deletion, plus k plain deletions per full-basis column."""
+    algebra = algebra_for(name)
+    fibre = space == "FP"
+    coords_of = algebra.cycle_coords if fibre else algebra.chain_coords
+    for k in range(int(fibre), algebra.group.rank + 1):
+        labels = algebra.labels(k, fibre)
+        assert all(len(set(label)) == len(label) == k for label in labels)
+        if k == int(fibre):
+            continue
+        terms = sum(len(coords_of(algebra.deleted_conjugate(label, i),
+                                  k - 1))
+                    for label in labels for i in range(k))
+        plain = 0 if fibre else k * len(labels)
+        assert len(group_ring_boundary(algebra, space, k)) == terms + plain
+
+
 @pytest.mark.parametrize("name", ["B3", "D4"])
 def test_group_ring_squares_vanish(name):
     algebra = algebra_for(name)
