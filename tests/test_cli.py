@@ -308,6 +308,18 @@ def test_dump_complex_answers_from_the_reduced_complex(capsys, monkeypatch,
     assert seen == [reduced]
 
 
+def test_dump_complex_fq0_labels_index_the_parity_half(capsys, tmp_path):
+    # A tensored FQ0 label starts with its slot's index within that
+    # degree's parity half, not the element's index in sorted order.
+    outdir = tmp_path / "cx"
+    assert run(capsys, "homology", "A2", "FQ0",
+               "--dump-complex", str(outdir))[0] == 0
+    bases = json.loads((outdir / "bases.json").read_text())["labels"]
+    assert sorted(bases) == ["1", "2"]
+    for labels in bases.values():
+        assert sorted({wi for wi, _ in labels}) == [0, 1, 2]
+
+
 @pytest.mark.parametrize("k", ["9", "-1"])
 def test_dump_basis_degree_out_of_range_exits_2(capsys, k):
     code, out, err = run(capsys, "homology", "A3", "FP", "--dump-basis", k)
@@ -408,6 +420,25 @@ def test_verify_invariants_enumerate_only_within_the_group_cap(
             in lines)
     assert f"PASS invariants A3 fibre-doubling: {doubling}" in lines
     assert lines[-1] == "12 passed, 0 failed, 0 skipped"
+
+
+DIHEDRAL_TYPES = " ".join(f"I2({m})" for m in range(3, 11))
+
+
+@pytest.mark.parametrize("argv,expected", [
+    ([], [("FP", "H3 H4 F4 A1 A2 A3 A4 A5 B2 B3 B4 B5 D3 D4 D5 A6 "
+                 + DIHEDRAL_TYPES),
+          ("FQ0", "H3 A1 A2 A3 B2 B3 D2 D3 " + DIHEDRAL_TYPES)]),
+    (["--space", "FQ", "--max-rank", "4"],
+     [("FQ", "H3 F4 A1 A2 A3 A4 B2 B3 B4 D2 D3 D4 " + DIHEDRAL_TYPES)]),
+    (["--type", "A3", "--type", "A3", "--space", "FP", "--space", "FP"],
+     [("FP", "A3")]),
+], ids=["default", "fq-rank-4", "repeated"])
+def test_table_tasks_keep_first_seen_order(argv, expected):
+    args = cli.make_parser().parse_args(["verify", "tables", *argv])
+    assert cli._table_tasks(args) == [
+        (type_name, space, cli.DEFAULT_GROUP_CAP)
+        for space, types in expected for type_name in types.split()]
 
 
 def test_verify_rejects_bad_type_upfront(capsys):

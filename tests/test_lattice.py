@@ -1,6 +1,7 @@
 """The noncrossing partition lattice: sizes, order, factorizations,
 chains, and Moebius values."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -191,6 +192,30 @@ def test_mobius_counts_decreasing_factorizations():
             sign = -1 if lat.rank[vid] % 2 else 1
             assert len(lat.decreasing_factorizations(vid)) == (
                 sign * lat.mobius(vid))
+
+
+# SHA-256 of the repr of (name, keys, rank, by_rank, lower_covers,
+# upper_covers): every lattice id, which ``--dump-lattice`` prints.
+LATTICE_ID_DIGESTS = {
+    "A3": "804218da75cbe96d0ad7ea3b05ec654b5c2ab99806be74ca4b9ccb9f2bc19ff8",
+    "B4": "8ed1f7b6ba09e881d3eb30ca87b70a70be3bcd2dd1f79036ec978aae96530b61",
+    "D4": "ac368051fc6f43df0f6014cee4137a8e66895e376e355d13a449fb364adb7f96",
+    "F4": "539cb4687525b89cd908c6e42bf37623ed4ce94c1808ad677a4d2b80c3bf360d",
+    "H3": "c109e887212fb9fe0e2e11eb49ad8f543cd9bfa4e8504dd2d412d7df4c29e764",
+    "H4": "f3f086a25e3e89354f4d4edcbe2b4cbd979bb6851acf695c52a4cf56d581ee9b",
+    "I2(7)":
+        "41e1aef4e191f287a932d9c404cdabc2e5e614eb04130855e333dc699d8ee335",
+    "E6": "8c2713122297ecbfe9d4fc29d90365fab63c106b89d318902a0fe9464fac22e3",
+}
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_ID_DIGESTS))
+def test_lattice_ids_match_pinned_digest(name):
+    lat = lattice_for(name)
+    payload = (name, lat.keys, lat.rank, lat.by_rank, lat.lower_covers,
+               lat.upper_covers)
+    assert hashlib.sha256(repr(payload).encode()).hexdigest() == \
+        LATTICE_ID_DIGESTS[name]
 
 
 def test_interval_ids_are_sorted_by_rank():
