@@ -31,9 +31,10 @@ solve:
 
 - ``leading_coords``, the triangular solve: the chain is read at the
   leading keys only and back-substituted in descending key order.  Both
-  ``cycle_coords`` (FP, FQ, FQ0) and ``chain_coords`` (M, MW) use it.  It
-  trusts the chain to lie in the span and only rejects one whose maximal
-  key is not a leading key.
+  ``cycle_coords`` (FP, FQ, FQ0) and ``chain_coords`` (M, MW) use it, in
+  the basis whose degree is the length of the sequence.  It trusts the
+  chain to lie in the span and only rejects one whose maximal key is not
+  a leading key.
 - ``coords_in_basis``, the peel, is the check: repeatedly take the
   residual's maximal key, look up the entry leading there and subtract
   its whole expansion.  It reads every key and raises on any chain
@@ -224,23 +225,23 @@ class ChainAlgebra:
             k, labels, expansions, max_key_to_pos, leading)
         return out
 
-    def cycle_coords(self, seq, degree: int):
+    def cycle_coords(self, seq):
         """Sparse coordinates {position: coeff} of the interval cycle of a
-        reduced sequence in the degree-``degree`` cycle basis."""
-        return self._coords(tuple(seq), degree, True)
+        reduced sequence in the cycle basis of the sequence's length."""
+        return self._coords(tuple(seq), True)
 
-    def chain_coords(self, seq, degree: int):
+    def chain_coords(self, seq):
         """Sparse coordinates {position: coeff} of the alternating chain of
-        a reduced sequence in the degree-``degree`` full basis."""
-        return self._coords(tuple(seq), degree, False)
+        a reduced sequence in the full basis of the sequence's length."""
+        return self._coords(tuple(seq), False)
 
-    def _coords(self, seq, degree: int, fibre: bool):
-        key = (seq, degree, fibre)
+    def _coords(self, seq, fibre: bool):
+        key = (seq, fibre)
         out = self._coords_memo.get(key)
         if out is None:
             chain = (self.interval_cycle if fibre
                      else self.alternating_chain)(seq)
-            basis = (self.cycle_basis if fibre else self.full_basis)(degree)
+            basis = (self.cycle_basis if fibre else self.full_basis)(len(seq))
             out = self._coords_memo[key] = self.leading_coords(chain, basis)
         return out
 

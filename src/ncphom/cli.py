@@ -23,8 +23,10 @@ import os
 import sys
 
 from .chain_algebra import ChainAlgebra
-from .complexes import SPACES, _unreduced_complex, build_complex
-from .coxgroup import DEFAULT_GROUP_CAP, CoxeterGroup, GroupCapExceeded
+from .complexes import (ENUMERATING_SPACES, SPACES, _unreduced_complex,
+                        build_complex)
+from .coxgroup import (DEFAULT_GROUP_CAP, CoxeterGroup, GroupCapExceeded,
+                       check_group_cap)
 from .homology import euler_characteristic, homology_of
 from .lattice import PartitionLattice
 from .properties import SUPPORTED_RANK4, property_suite
@@ -104,8 +106,10 @@ def dump_basis(algebra, k: int) -> str:
 
 
 def _json_label(label):
-    """Plain labels are reflection tuples; group-tensored ones pair an
-    element index (in sorted enumeration order) with a reflection tuple."""
+    """Plain labels are reflection tuples; group-tensored ones pair a slot
+    index with a reflection tuple.  The slot index is the element's index
+    in sorted enumeration order for FQ and M, and its index within the
+    degree's parity half for FQ0."""
     if all(isinstance(x, int) for x in label):
         return _one_based(label)
     wi, seq = label
@@ -149,9 +153,10 @@ def _bad_bound(name: str, value) -> bool:
 
 
 def cmd_homology(args) -> int:
-    # Every argument is checked before the group is built.  The answer
-    # always comes from the reduced complex; ``--dump-complex`` writes the
-    # unreduced one, which has the same homology.
+    # Every argument, and the group cap of a space that enumerates W, is
+    # checked before the group is built.  The answer always comes from
+    # the reduced complex; ``--dump-complex`` writes the unreduced one,
+    # which has the same homology.
     try:
         ctype = CoxeterType.parse(args.type)
     except TypeParseError as err:
@@ -169,6 +174,8 @@ def cmd_homology(args) -> int:
               file=sys.stderr)
         return 2
     try:
+        if args.dump_basis is None and args.space in ENUMERATING_SPACES:
+            check_group_cap(ctype, args.group_cap)
         _, lat, algebra = build_all(args.type)
         if args.dump_lattice:
             dump_lattice(lat, args.dump_lattice)
@@ -214,6 +221,8 @@ def _table_task(task):
         return (label, "SKIP", f"reference row marked {row.status!r}"
                 if row.status != "ok" else "reference row incomplete")
     try:
+        if space in ENUMERATING_SPACES:
+            check_group_cap(CoxeterType.parse(type_name), cap)
         _, _, algebra = build_all(type_name)
         complex_ = build_complex(algebra, space, cap=cap)
         groups = homology_of(complex_)
@@ -250,34 +259,24 @@ def _invariant_task(task):
 
 
 def _table_tasks(args):
+    """One task per (type, space), in first-seen order."""
     spaces = args.space or ["FP", "FQ0"]
-    tasks = []
-    seen = set()
-
-    def add(type_name, space):
-        key = (type_name, space)
-        if key not in seen:
-            seen.add(key)
-            tasks.append((type_name, space, args.group_cap))
-
     if args.type:
-        for type_name in args.type:
-            for space in spaces:
-                add(type_name, space)
-        return tasks
-    for space in spaces:
-        rank = args.max_rank
-        if rank is None:
-            rank = DEFAULT_TABLE_RANK.get(space, 3)
-        for row in all_rows(space if space != "FQ" else "FQ0", rank):
-            add(row.type_name, space)
-        if args.max_rank is None:
-            for extra in EXTRA_TABLE_TYPES.get(space, ()):
-                add(extra, space)
-        if rank >= 2:
-            for m in DIHEDRAL_TABLE_ORDERS:
-                add(f"I2({m})", space)
-    return tasks
+        pairs = dict.fromkeys((t, s) for t in args.type for s in spaces)
+    else:
+        pairs = {}
+        for space in spaces:
+            rank = args.max_rank
+            if rank is None:
+                rank = DEFAULT_TABLE_RANK.get(space, 3)
+            types = [row.type_name for row in all_rows(
+                space if space != "FQ" else "FQ0", rank)]
+            if args.max_rank is None:
+                types += EXTRA_TABLE_TYPES.get(space, ())
+            if rank >= 2:
+                types += [f"I2({m})" for m in DIHEDRAL_TABLE_ORDERS]
+            pairs.update(dict.fromkeys((t, space) for t in types))
+    return [(t, s, args.group_cap) for t, s in pairs]
 
 
 def _invariant_tasks(args):

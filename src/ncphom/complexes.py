@@ -92,6 +92,9 @@ SPACES = ("FP", "FQ0", "FQ", "M", "MW")
 # The fibres: cycle bases, from chain degree 1.  The complements M and MW
 # take the full bases from chain degree 0.
 FIBRE_SPACES = ("FP", "FQ0", "FQ")
+# The spaces tensored over the enumerated W.  FP and MW tensor over the
+# one-element group and never enumerate W.
+ENUMERATING_SPACES = ("FQ", "FQ0", "M")
 
 # The most integer entries that one tensored boundary may hold: its
 # group-ring terms times its coefficient slots, known before tensoring.
@@ -159,7 +162,7 @@ def group_ring_boundary(algebra: ChainAlgebra, space: str, k: int) -> dict:
             sign = -1 if i % 2 else 1
             t = label[i]
             for row, c in coords_of(
-                    algebra.deleted_conjugate(label, i), k - 1).items():
+                    algebra.deleted_conjugate(label, i)).items():
                 out[row, col, t] = sign * c
     if not fibre:  # t = -1 is never a reflection position
         for (row, col), c in _plain_deletion(algebra, k).items():
@@ -190,7 +193,7 @@ def build_complex(algebra: ChainAlgebra, space: str,
     with its unit entries eliminated over Z[W] for the group-tensored
     spaces, tensored with the space's slots."""
     form = _GroupRingComplex(algebra, space, cap)
-    if space not in ("FP", "MW"):  # only Z[W] is reduced
+    if space in ENUMERATING_SPACES:  # only Z[W] is reduced
         form.reduce()
     return form.tensor()
 
@@ -216,19 +219,19 @@ class _GroupRingComplex:
     """
 
     def __init__(self, algebra: ChainAlgebra, space: str, cap):
-        if space not in SPACES:
-            raise ValueError(f"unknown space {space!r}")
         group = self.group = algebra.group
         self.space = space
-        # Fibre complexes start at degree 1, complements at degree 0.
+        # Fibre complexes start at degree 1, complements at degree 0.  An
+        # unknown space is no fibre, so ``group_ring_boundary`` of degree
+        # 1 rejects it.
         fibre = space in FIBRE_SPACES
         self.degrees = list(range(int(fibre), group.rank + 1))
         keys = group.reflection_keys + (group.identity,)  # t = -1: identity
-        if space in ("FP", "MW"):
+        if space in ENUMERATING_SPACES:
+            self.elements = group.enumerate_elements(cap)
+        else:
             self.elements = ElementList([group.identity],
                                         dict.fromkeys(keys, 0), [], [None])
-        else:
-            self.elements = group.enumerate_elements(cap)
         self.slots = self._coefficient_slots()
         self.chains = {k: algebra.labels(k, fibre) for k in self.degrees}
         ids = list(map(self.elements.index, keys))
@@ -250,9 +253,9 @@ class _GroupRingComplex:
         everything = list(range(len(self.elements)))
         if self.space != "FQ0":
             return {k: everything for k in self.degrees}
-        parity = self.group.parity
-        halves = ([i for i, w in enumerate(self.elements) if parity(w) == 0],
-                  [i for i, w in enumerate(self.elements) if parity(w) == 1])
+        halves = ([], [])
+        for i, w in enumerate(self.elements):
+            halves[self.group.parity(w)].append(i)
         if len(halves[0]) != len(halves[1]):
             raise RuntimeError(f"{self.group.ctype}: {len(halves[0])} even "
                                f"and {len(halves[1])} odd elements")
@@ -263,7 +266,7 @@ class _GroupRingComplex:
     def reduce(self) -> None:
         """Eliminate unit entries until none is left, then renumber the
         kept basis chains."""
-        kept = {k: list(range(len(chains)))
+        kept = {k: dict(enumerate(chains))  # position -> label, per degree
                 for k, chains in self.chains.items()}
         cells = {k: {c: {} for c in kept[k]} for k in self.boundaries}
         for k, boundary in self.boundaries.items():
@@ -280,10 +283,9 @@ class _GroupRingComplex:
                     col.pop(c0, None)
             if k - 1 in cells:
                 del cells[k - 1][r0]
-            kept[k].remove(c0)
-            kept[k - 1].remove(r0)
-        self.chains = {k: tuple(self.chains[k][c] for c in kept[k])
-                       for k in self.degrees}
+            del kept[k][c0]
+            del kept[k - 1][r0]
+        self.chains = {k: tuple(labels.values()) for k, labels in kept.items()}
         for k, cols in cells.items():
             row_of = {r: i for i, r in enumerate(kept[k - 1])}
             self.boundaries[k] = {
@@ -336,7 +338,7 @@ class _GroupRingComplex:
         allocating if a boundary would exceed ``TENSOR_ENTRY_CAP``."""
         slots, chains = self.slots, self.chains
         labels = chains
-        if self.space not in ("FP", "MW"):
+        if self.space in ENUMERATING_SPACES:
             for k in self.degrees[1:]:
                 terms, copies = len(self.boundaries[k]), len(slots[k])
                 if terms * copies > TENSOR_ENTRY_CAP:

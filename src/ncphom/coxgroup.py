@@ -42,6 +42,15 @@ class GroupCapExceeded(RuntimeError):
     """Raised when an operation would enumerate a group above the cap."""
 
 
+def check_group_cap(ctype: CoxeterType, cap: int | None) -> None:
+    """Raise ``GroupCapExceeded`` if |W| of a type exceeds the cap; None
+    is no cap.  Reads the order off the type, so nothing is built."""
+    order = ctype.group_order
+    if cap is not None and order > cap:
+        raise GroupCapExceeded(
+            f"|W({ctype})| = {order} exceeds the cap {cap}")
+
+
 def _compose(a, b):
     return tuple([a[j] for j in b])
 
@@ -193,10 +202,8 @@ class CoxeterGroup:
         """All group elements in sorted order, as an ``ElementList``, by
         breadth-first search over products with simple reflections;
         raises GroupCapExceeded if |W| exceeds the cap."""
+        check_group_cap(self.ctype, cap)
         order = self.ctype.group_order
-        if cap is not None and order > cap:
-            raise GroupCapExceeded(
-                f"|W({self.ctype})| = {order} exceeds the cap {cap}")
         found = [self.identity]
         position = {self.identity: 0}
         last = [None]  # the s by which the search first reached each w

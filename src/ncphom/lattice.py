@@ -83,23 +83,16 @@ class PartitionLattice:
         _require(rank_of.get(group.identity) == 0,
                  "the downward closure must reach the identity")
 
-        by_rank_keys = [[] for _ in range(self.n + 1)]
-        for key, r in rank_of.items():
-            by_rank_keys[r].append(key)
-        for row in by_rank_keys:
-            row.sort()
-        _require(len(by_rank_keys[1]) == group.num_reflections,
-                 "every reflection must be an atom")
-
-        self.keys = [key for row in by_rank_keys for key in row]
+        # ids ascend by (rank, key); interval_ids and mobius rely on it
+        self.keys = sorted(rank_of, key=lambda key: (rank_of[key], key))
         self.size = len(self.keys)
         self.index = {key: i for i, key in enumerate(self.keys)}
         self.rank = [rank_of[key] for key in self.keys]
-        self.by_rank = []
-        offset = 0
-        for row in by_rank_keys:
-            self.by_rank.append(list(range(offset, offset + len(row))))
-            offset += len(row)
+        self.by_rank = [[] for _ in range(self.n + 1)]
+        for i, r in enumerate(self.rank):
+            self.by_rank[r].append(i)
+        _require(len(self.by_rank[1]) == group.num_reflections,
+                 "every reflection must be an atom")
         self.identity_id = self.index[group.identity]
         self.gamma_id = self.index[group.gamma]
 

@@ -21,8 +21,9 @@ complexes.group_ring_square_is_zero).
 from __future__ import annotations
 
 from .chain_algebra import ChainAlgebra, chain_sum
-from .complexes import (_unreduced_complex, build_algebra_complex,
-                        build_complex, fibre_support_is_reflections,
+from .complexes import (ENUMERATING_SPACES, SPACES, _unreduced_complex,
+                        build_algebra_complex, build_complex,
+                        fibre_support_is_reflections,
                         group_ring_square_is_zero)
 from .coxgroup import DEFAULT_GROUP_CAP, CoxeterGroup
 from .homology import homology_of, invariant_factors
@@ -232,19 +233,17 @@ def check_boundary_squares(algebra: ChainAlgebra, rng,
     """The boundaries square to zero: materialized for FP and MW, and for
     FQ, FQ0 and M when |W| is at most both ``MATERIALIZE_LIMIT`` and the
     group cap; in group-ring form otherwise."""
-    order = algebra.group.ctype.group_order
-    details = []
-    for space in ("FP", "MW"):
+    enumerable = algebra.group.ctype.group_order <= min(MATERIALIZE_LIMIT, cap)
+    spaces = [s for s in SPACES if s not in ENUMERATING_SPACES]
+    if enumerable:
+        spaces += ENUMERATING_SPACES
+    for space in spaces:
         build_complex(algebra, space).check_square_zero()
-        details.append(f"{space} materialized")
-    if order <= min(MATERIALIZE_LIMIT, cap):
-        for space in ("FQ", "FQ0", "M"):
-            build_complex(algebra, space).check_square_zero()
-            details.append(f"{space} materialized")
-    else:
+    details = [f"{space} materialized" for space in spaces]
+    if not enumerable:
         _require(group_ring_square_is_zero(algebra, "FQ"), "FQ group-ring")
         _require(group_ring_square_is_zero(algebra, "M"), "M group-ring")
-        details.append("FQ/FQ0/M in group-ring form")
+        details.append("/".join(ENUMERATING_SPACES) + " in group-ring form")
     return ", ".join(details)
 
 

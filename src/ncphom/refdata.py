@@ -59,7 +59,7 @@ def _decode(row: dict) -> ReferenceRow:
                         row["source"], row.get("status", "ok"))
 
 
-_cache: list | None = None
+_cache: tuple | None = None
 
 
 def load_rows() -> tuple:
@@ -72,8 +72,8 @@ def load_rows() -> tuple:
             with open(path, encoding="utf-8") as handle:
                 payload = json.load(handle)
             rows.extend(_decode(r) for r in payload["rows"])
-        _cache = rows
-    return tuple(_cache)
+        _cache = tuple(rows)
+    return _cache
 
 
 def _dihedral_row(m: int, space: str) -> ReferenceRow | None:

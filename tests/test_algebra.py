@@ -284,11 +284,11 @@ def test_sparse_coordinate_wrappers_agree():
     sum back to the chain it was given."""
     algebra = algebra_for("A3")
     lat = algebra.lat
-    cases = [(algebra.chain_coords(seq, 2), algebra.full_basis(2),
+    cases = [(algebra.chain_coords(seq), algebra.full_basis(2),
               algebra.alternating_chain(seq))
              for vid in lat.rank_row(2)
              for seq in lat.reduced_factorizations(vid)]
-    cases += [(algebra.cycle_coords(seq, 3), algebra.cycle_basis(3),
+    cases += [(algebra.cycle_coords(seq), algebra.cycle_basis(3),
                algebra.interval_cycle(seq))
               for seq in lat.reduced_factorizations(lat.gamma_id)]
     for coords, basis, chain in cases:
@@ -314,7 +314,7 @@ def test_cycle_coords_match_the_peel_on_every_fp_request(name):
         for label in lat.rank_prefix_basis(k - 1):
             for i in range(k):
                 seq = algebra.deleted_conjugate(label, i)
-                assert algebra.cycle_coords(seq, k - 1) == \
+                assert algebra.cycle_coords(seq) == \
                     algebra.coords_in_basis(algebra.interval_cycle(seq),
                                             basis)
                 requests += 1
@@ -335,7 +335,7 @@ def test_chain_coords_match_the_peel_on_every_complement_request(name):
             for i in range(k):
                 for seq in (algebra.deleted_conjugate(label, i),
                             label[:i] + label[i + 1:]):
-                    assert algebra.chain_coords(seq, k - 1) == \
+                    assert algebra.chain_coords(seq) == \
                         algebra.coords_in_basis(
                             algebra.alternating_chain(seq), basis)
                     requests += 1

@@ -170,6 +170,19 @@ def test_homology_checks_arguments_before_building(capsys, monkeypatch,
     assert run(capsys, "homology", *argv) == (2, "", err)
 
 
+@pytest.mark.parametrize("argv,order", [
+    (["E8", "M"], 696729600),
+    (["E7", "FQ0"], 2903040),
+])
+def test_homology_refuses_a_group_over_the_cap_before_building(
+        capsys, monkeypatch, argv, order):
+    def build_all(type_name):
+        raise AssertionError(f"built {type_name}")
+    monkeypatch.setattr("ncphom.cli.build_all", build_all)
+    assert run(capsys, "homology", *argv) == (
+        3, "", f"error: |W({argv[0]})| = {order} exceeds the cap 52000\n")
+
+
 def test_dump_basis_with_dump_complex_exits_2_and_writes_nothing(
         capsys, monkeypatch, tmp_path):
     def build_all(type_name):

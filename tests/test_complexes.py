@@ -306,8 +306,7 @@ def test_group_ring_boundary_writes_each_term_once(name, space):
         assert all(len(set(label)) == len(label) == k for label in labels)
         if k == int(fibre):
             continue
-        terms = sum(len(coords_of(algebra.deleted_conjugate(label, i),
-                                  k - 1))
+        terms = sum(len(coords_of(algebra.deleted_conjugate(label, i)))
                     for label in labels for i in range(k))
         plain = 0 if fibre else k * len(labels)
         assert len(group_ring_boundary(algebra, space, k)) == terms + plain

@@ -30,7 +30,7 @@ SPAN_SCRIPT = textwrap.dedent("""\
     except AssertionError:
         print("span check raised AssertionError")
     try:
-        algebra.chain_coords(bad, len(bad))
+        algebra.chain_coords(bad)
     except ValueError as err:
         print("chain_coords raised:", str(err).split(":")[0])
 """)
