@@ -512,6 +512,30 @@ def test_verify_reports_mismatch(capsys, monkeypatch):
     assert lines[1] == "0 passed, 1 failed, 0 skipped"
 
 
+def test_verify_reports_a_wrong_euler_characteristic(capsys, monkeypatch):
+    wrong = ReferenceRow("A2", "FP",
+                         (HomologyGroup(1), HomologyGroup(2)), -2,
+                         "test", "ok")
+    monkeypatch.setattr("ncphom.cli.lookup", lambda *a: wrong)
+    code, out, _ = run(capsys, "verify", "tables",
+                       "--type", "A2", "--space", "FP")
+    assert code == 1
+    assert out.splitlines() == [
+        "FAIL tables A2 FP: euler -1 expected -2",
+        "0 passed, 1 failed, 0 skipped",
+    ]
+
+
+def test_verify_skips_a_table_without_a_reference_row(capsys):
+    code, out, _ = run(capsys, "verify", "tables",
+                       "--type", "E6", "--space", "FQ0")
+    assert code == 0
+    assert out.splitlines() == [
+        "SKIP tables E6 FQ0: no reference row",
+        "0 passed, 0 failed, 1 skipped",
+    ]
+
+
 def test_verify_runs_in_a_process_pool(capsys, monkeypatch):
     monkeypatch.setenv("NCPHOM_WORKERS", "2")
     code, out, _ = run(capsys, "verify", "tables", "--space", "FP",

@@ -243,6 +243,20 @@ def test_homology_degrees_can_start_above_zero():
     assert euler_characteristic(cx) == 1
 
 
+def test_compose_rejects_mismatched_shapes():
+    with pytest.raises(ValueError, match="cannot compose a 2x3 matrix"):
+        compose(BoundaryMatrix(2, 3), BoundaryMatrix(2, 2))
+
+
+def test_homology_of_rejects_gapped_degrees_and_wrong_shapes():
+    gapped = _Complex([0, 2], {0: 1, 2: 1}, {2: BoundaryMatrix(1, 1)})
+    with pytest.raises(ValueError, match="consecutive"):
+        homology_of(gapped)
+    wrong = _Complex([0, 1], {0: 1, 1: 2}, {1: BoundaryMatrix(1, 1)})
+    with pytest.raises(ValueError, match="boundary 1 is 1x1, not 1x2"):
+        homology_of(wrong)
+
+
 def test_homology_group_formatting_and_dicts():
     assert str(HomologyGroup(0)) == "0"
     assert str(HomologyGroup(1)) == "Z"

@@ -56,6 +56,10 @@ def test_lookup_known_rows():
     assert lookup("A3", "MW") is None
 
 
+def test_dihedral_lookup_has_no_complement_row():
+    assert lookup("I2(5)", "M") is None
+
+
 def test_lookup_synthesizes_dihedral_rows():
     fp = lookup("I2(7)", "FP")
     assert [g.free_rank for g in fp.groups] == [1, 6]

@@ -1,6 +1,7 @@
 """Type parsing, root systems, and the fixed reflection order."""
 
 import random
+from math import factorial
 
 import pytest
 
@@ -31,6 +32,16 @@ def test_parse_rejects_inadmissible_names(bad):
         CoxeterType.parse(bad)
 
 
+@pytest.mark.parametrize("bad", ["A0", "B1", "D2", "E5", "E9", "F3", "F5",
+                                 "H2", "H5"])
+def test_rank_rejections_keep_their_message(bad):
+    extra = " (D2 is reducible)" if bad == "D2" else ""
+    with pytest.raises(TypeParseError) as err:
+        CoxeterType.parse(bad)
+    assert str(err.value) == (
+        f"{bad} is not a supported irreducible type{extra}")
+
+
 def test_reducible_rejections_explain_themselves():
     with pytest.raises(TypeParseError, match="reducible"):
         CoxeterType.parse("D2")
@@ -38,7 +49,7 @@ def test_reducible_rejections_explain_themselves():
         CoxeterType.parse("I2(2)")
 
 
-@pytest.mark.parametrize("name,reflections,order,coxnum", [
+PINNED_NUMEROLOGY = [
     ("A1", 1, 2, 2), ("A2", 3, 6, 3), ("A3", 6, 24, 4), ("A4", 10, 120, 5),
     ("B2", 4, 8, 4), ("B3", 9, 48, 6), ("B4", 16, 384, 8),
     ("D3", 6, 24, 4), ("D4", 12, 192, 6), ("D5", 20, 1920, 8),
@@ -46,7 +57,33 @@ def test_reducible_rejections_explain_themselves():
     ("E8", 120, 696729600, 30),
     ("F4", 24, 1152, 12), ("H3", 15, 120, 10), ("H4", 60, 14400, 30),
     ("I2(3)", 3, 6, 3), ("I2(7)", 7, 14, 7), ("I2(12)", 12, 24, 12),
-])
+]
+
+
+def _family_numerology(name):
+    """(N, |W|, h) from the classical formulas: |W| = (n+1)!, 2^n n! and
+    2^(n-1) n!, h = n+1, 2n and 2n-2; I2(m) has |W| = 2m and h = N = m."""
+    if name.startswith("I2("):
+        m = int(name[3:-1])
+        return m, 2 * m, m
+    family, n = name[0], int(name[1:])
+    order, h = {"A": (factorial(n + 1), n + 1),
+                "B": (2 ** n * factorial(n), 2 * n),
+                "D": (2 ** (n - 1) * factorial(n), 2 * n - 2)}[family]
+    return n * h // 2, order, h
+
+
+FAMILY_NAMES = ([f"A{n}" for n in range(5, 9)]
+                + [f"B{n}" for n in range(5, 9)]
+                + [f"D{n}" for n in range(6, 9)]
+                + [f"I2({m})" for m in range(3, 31)])  # pinned ones skipped
+
+
+@pytest.mark.parametrize(
+    "name,reflections,order,coxnum",
+    PINNED_NUMEROLOGY + [(name, *_family_numerology(name))
+                         for name in FAMILY_NAMES
+                         if name not in {row[0] for row in PINNED_NUMEROLOGY}])
 def test_numerology(name, reflections, order, coxnum):
     ct = CoxeterType.parse(name)
     assert ct.num_reflections == reflections
