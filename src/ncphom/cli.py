@@ -23,8 +23,8 @@ import os
 import sys
 
 from .chain_algebra import ChainAlgebra
-from .complexes import (ENUMERATING_SPACES, SPACES, _unreduced_complex,
-                        build_complex)
+from .complexes import (ENUMERATING_SPACES, FIBRE_SPACES, SPACES,
+                        _unreduced_complex, build_complex)
 from .coxgroup import (DEFAULT_GROUP_CAP, CoxeterGroup, GroupCapExceeded,
                        check_group_cap)
 from .homology import euler_characteristic, homology_of
@@ -380,7 +380,7 @@ def make_parser() -> argparse.ArgumentParser:
     ver.add_argument("--type", action="append",
                      help="restrict to this type (repeatable)")
     ver.add_argument("--space", action="append",
-                     choices=("FP", "FQ0", "FQ"),
+                     choices=FIBRE_SPACES,
                      help="restrict table checks to this space "
                           "(repeatable; default FP and FQ0)")
     ver.add_argument("--max-rank", type=int,

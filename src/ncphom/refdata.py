@@ -12,8 +12,10 @@ table, and a status:
 - ``unsupported``   a type this package does not construct (reducible).
 
 Dihedral rows for any order are synthesized from closed forms instead of
-being stored per order, and FQ rows are synthesized by doubling complete
-FQ0 rows degreewise.
+being stored per order.  An FQ row is its FQ0 row doubled degreewise
+(FQ is two copies of FQ0), whatever that row holds: the status and the
+``None`` gaps carry over, and the reader of a row decides, through
+``ReferenceRow.complete``, whether it can be checked.
 """
 
 from __future__ import annotations
@@ -93,9 +95,10 @@ def _dihedral_row(m: int, space: str) -> ReferenceRow | None:
 def lookup(type_name: str, space: str) -> ReferenceRow | None:
     """The reference row for a type and space, or None.
 
-    Dihedral FP/FQ0 rows come from closed forms, FQ rows from doubling a
-    complete FQ0 row.  Names of stored but unsupported types (like D2)
-    resolve to their rows even though they cannot be constructed.
+    Dihedral FP/FQ0 rows come from closed forms, FQ rows from doubling
+    the FQ0 row, complete or not.  Names of stored but unsupported types
+    (like D2) resolve to their rows even though they cannot be
+    constructed.
     """
     try:
         ctype = CoxeterType.parse(type_name)
@@ -104,9 +107,7 @@ def lookup(type_name: str, space: str) -> ReferenceRow | None:
     name = ctype.name if ctype is not None else type_name.strip()
     if space == "FQ":
         base = lookup(type_name, "FQ0")
-        if base is not None and base.complete:
-            return base.doubled()
-        return None
+        return None if base is None else base.doubled()
     if ctype is not None and ctype.is_dihedral:
         return _dihedral_row(ctype.dihedral_order, space)
     for row in load_rows():

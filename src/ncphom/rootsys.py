@@ -29,30 +29,29 @@ The construction fixes, once and for all:
   which enumerates every positive root exactly once.  Reflection number k
   (1-based) is the reflection in rho_k, and all sequence/basis orderings
   downstream refer to this order.
+
+Every number of a type comes from one table, ``DEGREES``: the degrees
+d_1 <= ... <= d_n of the basic invariants of W, (2, m) for I2(m).  The
+Coxeter number h is d_n, the number of reflections N is the sum of the
+d_i - 1, and |W| is the product of the d_i.  The ranks that ``parse``
+accepts for E, F and H are the ones the table holds.
 """
 
 from __future__ import annotations
 
 import re
 from collections import namedtuple
-from math import factorial
+from math import prod
 
-COXETER_NUMBERS = {
-    "A": lambda n: n + 1,
-    "B": lambda n: 2 * n,
-    "D": lambda n: 2 * n - 2,
-    "E": {6: 12, 7: 18, 8: 30}.get,
-    "F": {4: 12}.get,
-    "H": {3: 10, 4: 30}.get,
-}
-
-GROUP_ORDERS = {
-    "A": lambda n: factorial(n + 1),
-    "B": lambda n: 2 ** n * factorial(n),
-    "D": lambda n: 2 ** (n - 1) * factorial(n),
-    "E": {6: 51840, 7: 2903040, 8: 696729600}.get,
-    "F": {4: 1152}.get,
-    "H": {3: 120, 4: 14400}.get,
+DEGREES = {
+    "A": lambda n: tuple(range(2, n + 2)),
+    "B": lambda n: tuple(range(2, 2 * n + 1, 2)),
+    "D": lambda n: tuple(sorted((*range(2, 2 * n - 1, 2), n))),
+    "E": {6: (2, 5, 6, 8, 9, 12), 7: (2, 6, 8, 10, 12, 14, 18),
+          8: (2, 8, 12, 14, 18, 20, 24, 30)}.get,
+    "F": {4: (2, 6, 8, 12)}.get,
+    "H": {3: (2, 6, 10), 4: (2, 12, 20, 30)}.get,
+    "I": lambda m: (2, m),  # keyed by the dihedral order m
 }
 
 
@@ -84,10 +83,8 @@ class CoxeterType(namedtuple("CoxeterType", "family rank dihedral_order",
                 f"cannot parse Coxeter type {text!r}; expected one of "
                 "A<n>, B<n>, D<n>, E6|E7|E8, F4, H3|H4, I2(m)")
         family, rank = m.group(1), int(m.group(2))
-        limits = {"A": (1, None), "B": (2, None), "D": (3, None),
-                  "E": (6, 8), "F": (4, 4), "H": (3, 4)}
-        lo, hi = limits[family]
-        if rank < lo or (hi is not None and rank > hi):
+        if (rank < {"B": 2, "D": 3}.get(family, 1)
+                or DEGREES[family](rank) is None):
             extra = ""
             if family == "D" and rank == 2:
                 extra = " (D2 is reducible)"
@@ -106,20 +103,21 @@ class CoxeterType(namedtuple("CoxeterType", "family rank dihedral_order",
         return self.family == "I"
 
     @property
+    def degrees(self) -> tuple:
+        """Degrees of the basic invariants, ascending."""
+        return DEGREES[self.family](self.dihedral_order or self.rank)
+
+    @property
     def coxeter_number(self) -> int:
-        if self.family == "I":
-            return self.dihedral_order
-        return COXETER_NUMBERS[self.family](self.rank)
+        return max(self.degrees)
 
     @property
     def num_reflections(self) -> int:
-        return self.rank * self.coxeter_number // 2
+        return sum(d - 1 for d in self.degrees)
 
     @property
     def group_order(self) -> int:
-        if self.family == "I":
-            return 2 * self.dihedral_order
-        return GROUP_ORDERS[self.family](self.rank)
+        return prod(self.degrees)
 
     def __str__(self) -> str:
         return self.name

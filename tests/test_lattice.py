@@ -7,12 +7,14 @@ import subprocess
 import sys
 import textwrap
 from itertools import product
+from math import prod
 from pathlib import Path
 
 import pytest
 
 from conftest import lattice_for
 from ncphom import CoxeterGroup, PartitionLattice
+from ncphom.rootsys import CoxeterType
 
 EXPECTED_SIZES = {
     "A1": 2, "A2": 5, "A3": 14, "A4": 42, "A5": 132,
@@ -26,6 +28,15 @@ EXPECTED_SIZES = {
 @pytest.mark.parametrize("name,size", sorted(EXPECTED_SIZES.items()))
 def test_lattice_sizes(name, size):
     assert lattice_for(name).size == size
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_SIZES))
+def test_lattice_sizes_are_catalan_numbers_of_the_degrees(name):
+    degrees = CoxeterType.parse(name).degrees
+    h = max(degrees)
+    catalan, remainder = divmod(prod(h + d for d in degrees), prod(degrees))
+    assert remainder == 0
+    assert lattice_for(name).size == catalan
 
 
 def test_rank_rows_of_a3():

@@ -1,9 +1,11 @@
 """Bundled reference tables: decoding, consistency, lookup."""
 
+from math import prod
+
 import pytest
 
 from ncphom import HomologyGroup, all_rows, load_rows, lookup
-from ncphom.rootsys import CoxeterType
+from ncphom.rootsys import CoxeterType, TypeParseError
 
 
 def test_every_row_decodes_with_a_source():
@@ -45,6 +47,52 @@ def test_flagged_rows_stay_flagged():
     assert d2.status == "unsupported"
 
 
+def _euler_from_degrees(ctype, space):
+    """chi(FQ0) = N prod_{i>=2} (1 - e_i), with e_i = d_i - 1 ascending and
+    the one e = 1 dropped: FQ0 is an N-fold cyclic cover of the projective
+    complement, whose Poincare polynomial is prod_{i>=2} (1 + e_i t)
+    (Orlik-Solomon).  W acts freely on FQ, two copies of FQ0, with
+    quotient FP, so chi(FP) = 2 chi(FQ0) / |W|."""
+    exponents = [d - 1 for d in ctype.degrees]
+    assert exponents[0] == 1
+    fibre = ctype.num_reflections * prod(1 - e for e in exponents[1:])
+    if space == "FQ0":
+        return fibre
+    quotient, remainder = divmod(2 * fibre, prod(ctype.degrees))
+    assert remainder == 0, ctype.name
+    return quotient
+
+
+def test_stored_euler_characteristics_follow_from_the_degrees():
+    checked = 0
+    for row in load_rows():
+        try:
+            ctype = CoxeterType.parse(row.type_name)
+        except TypeParseError:
+            continue
+        assert row.euler == _euler_from_degrees(ctype, row.space), (
+            row.type_name, row.space)
+        checked += 1
+    assert checked == 42
+
+
+def test_dihedral_euler_characteristics_follow_from_the_degrees():
+    for m in range(3, 30):
+        ctype = CoxeterType.parse(f"I2({m})")
+        for space in ("FP", "FQ0"):
+            assert (lookup(ctype.name, space).euler
+                    == _euler_from_degrees(ctype, space)), (m, space)
+
+
+def test_d5_fibre_row_has_a_wrong_group_not_a_wrong_euler():
+    d5 = lookup("D5", "FQ0")
+    alternating = sum((-1) ** k * g.free_rank
+                      for k, g in enumerate(d5.groups))
+    assert alternating == 2881
+    assert d5.euler == 2880
+    assert _euler_from_degrees(CoxeterType.parse("D5"), "FQ0") == 2880
+
+
 def test_lookup_known_rows():
     a3 = lookup("A3", "FP")
     assert [g.free_rank for g in a3.groups] == [1, 2, 2]
@@ -77,8 +125,10 @@ def test_lookup_doubles_fibre_rows():
         2 * g.free_rank for g in half.groups]
     assert full.euler == 2 * half.euler
     assert full.space == "FQ"
-    # incomplete base rows must not double
-    assert lookup("A6", "FQ") is None
+    # incomplete base rows double too, gaps kept, and stay incomplete
+    a6 = lookup("A6", "FQ")
+    assert (a6.space, a6.status, a6.complete) == ("FQ", "ok", False)
+    assert a6.groups[2:] == (None,) * 4
 
 
 def test_doubling_duplicates_torsion():

@@ -91,6 +91,15 @@ def test_numerology(name, reflections, order, coxnum):
     assert ct.coxeter_number == coxnum
 
 
+@pytest.mark.parametrize("name,degrees", [
+    ("A3", (2, 3, 4)), ("B3", (2, 4, 6)), ("D4", (2, 4, 4, 6)),
+    ("D5", (2, 4, 5, 6, 8)), ("E6", (2, 5, 6, 8, 9, 12)),
+    ("F4", (2, 6, 8, 12)), ("H3", (2, 6, 10)), ("I2(7)", (2, 7)),
+])
+def test_degrees_are_ascending(name, degrees):
+    assert CoxeterType.parse(name).degrees == degrees
+
+
 def test_a3_reflection_order_is_pinned():
     """The root recurrence order everything downstream depends on, in
     simple-root coordinates (A3 has no golden half)."""
