@@ -6,7 +6,8 @@ one homology group per topological degree (``None`` where the value is
 not known), an Euler characteristic, a source tag naming the bundled
 table, and a status:
 
-- ``ok``            a fully trusted row,
+- ``ok``            every value given is trusted (A6 and B5 FQ0 leave
+                    their upper degrees ``None``),
 - ``inconsistent``  the printed groups and Euler characteristic cannot
                     both be right; nothing from the row is asserted,
 - ``unsupported``   a type this package does not construct (reducible).
