@@ -289,7 +289,7 @@ def homology_of(complex_) -> list:
     boundary's Smith form leaves out the rows that the unit pivots of the
     boundary below matched (see the module docstring).
     """
-    degrees = list(complex_.degrees)
+    degrees = _chain_degrees(complex_)
     offset = degrees[0]
     if degrees != list(range(offset, offset + len(degrees))):
         raise ValueError(f"chain degrees must be consecutive and ascending: "
@@ -298,7 +298,10 @@ def homology_of(complex_) -> list:
     torsion = {}
     matched = ()  # rows of the next boundary that unit pivots matched
     for d in degrees[1:]:
-        matrix = complex_.matrices[d]
+        matrix = complex_.matrices.get(d)
+        if matrix is None:
+            raise ValueError(f"chain complex has no boundary matrix in "
+                             f"degree {d}")
         if (matrix.rows, matrix.cols) != (complex_.dims[d - 1],
                                           complex_.dims[d]):
             raise ValueError(f"boundary {d} is {matrix.rows}x{matrix.cols}, "
@@ -322,6 +325,14 @@ def homology_of(complex_) -> list:
 
 def euler_characteristic(complex_) -> int:
     """Alternating sum of dimensions in topological degrees."""
-    offset = min(complex_.degrees)
-    return sum((-1) ** (d - offset) * complex_.dims[d]
-               for d in complex_.degrees)
+    degrees = _chain_degrees(complex_)
+    offset = min(degrees)
+    return sum((-1) ** (d - offset) * complex_.dims[d] for d in degrees)
+
+
+def _chain_degrees(complex_) -> list:
+    """The complex's chain degrees, checked to be at least one."""
+    degrees = list(complex_.degrees)
+    if not degrees:
+        raise ValueError("chain complex has no degrees")
+    return degrees

@@ -73,9 +73,9 @@ class CoxeterType(namedtuple("CoxeterType", "family rank dihedral_order",
         if m:
             order = int(m.group(1))
             if order < 3:
+                extra = " (I2(2) is reducible)" if order == 2 else ""
                 raise TypeParseError(
-                    f"I2({order}) is not supported: need m >= 3 "
-                    "(I2(2) is reducible)")
+                    f"I2({order}) is not supported: need m >= 3{extra}")
             return CoxeterType("I", 2, order)
         m = re.fullmatch(r"([ABDEFH])(\d+)", text)
         if not m:

@@ -557,14 +557,19 @@ def test_bad_worker_count_exits_2(capsys, monkeypatch, value):
     assert err.startswith("error: NCPHOM_WORKERS")
 
 
-def test_python_dash_m_runs_the_cli():
-    env = dict(os.environ)
+def _fresh_python(*args, **env):
+    """Run ``python *args`` in a fresh interpreter that imports ncphom from
+    this checkout's ``src``."""
+    env = dict(os.environ, **env)
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, "-m", "ncphom", "homology", "A3",
-                           "FP"], capture_output=True, text=True, env=env,
-                          timeout=60)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=60)
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = _fresh_python("-m", "ncphom", "homology", "A3", "FP")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "H0=Z H1=Z^2 H2=Z^2\n"
 
@@ -585,17 +590,41 @@ def test_start_up_loads_only_what_a_table_run_needs(flags):
               "import ncphom.cli\n"
               "ncphom.load_rows()\n"
               "print(*sorted(sys.modules))\n")
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, "-S", *flags, "-c", script],
-                          capture_output=True, text=True, env=env,
-                          timeout=60)
+    proc = _fresh_python("-S", *flags, "-c", script)
     assert proc.returncode == 0, proc.stderr
     loaded = proc.stdout.split()
     assert [m for m in UNUSED_AT_START_UP if m in loaded] == []
     assert len(loaded) <= 85
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_reference_rows_load_without_the_compute_layers(flags):
+    """``import ncphom`` loads none of its submodules, and loading the rows
+    and looking one up loads only ``refdata`` and what it imports, none of
+    the group, lattice, chain, complex, invariant or CLI modules.  The
+    first use of a name loads the submodule that defines it, and then
+    every exported name and submodule resolves."""
+    submodules = ("chain_algebra complexes coxgroup homology lattice "
+                  "properties refdata rootsys")
+    script = ("import sys\n"
+              "def loaded():\n"
+              "    print(*sorted(m[7:] for m in sys.modules\n"
+              "                  if m.startswith('ncphom.')))\n"
+              "import ncphom\n"
+              "loaded()\n"
+              "ncphom.load_rows()\n"
+              "ncphom.lookup('A3', 'FP')\n"
+              "loaded()\n"
+              "ncphom.CoxeterGroup\n"
+              "loaded()\n"
+              f"for name in {submodules.split()} + ncphom.__all__:\n"
+              "    getattr(ncphom, name)\n"
+              "loaded()\n")
+    proc = _fresh_python("-S", *flags, "-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == [
+        "", "homology refdata rootsys", "coxgroup homology refdata rootsys",
+        submodules, ""]
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
@@ -612,13 +641,7 @@ def test_failed_invariant_reports_fail_under_optimize(flags):
         "p.MATERIALIZE_LIMIT = 0\n"
         "print('optimize', sys.flags.optimize)\n"
         "sys.exit(main(['verify', 'invariants', '--type', 'A2']))\n")
-    env = dict(os.environ, NCPHOM_WORKERS="1")
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, *flags, "-c", script],
-                          capture_output=True, text=True, env=env,
-                          timeout=60)
+    proc = _fresh_python(*flags, "-c", script, NCPHOM_WORKERS="1")
     lines = proc.stdout.splitlines()
     assert lines[0] == f"optimize {len(flags)}"
     assert proc.returncode == 1, proc.stderr

@@ -248,13 +248,23 @@ def test_compose_rejects_mismatched_shapes():
         compose(BoundaryMatrix(2, 3), BoundaryMatrix(2, 2))
 
 
+MALFORMED_COMPLEXES = [
+    (_Complex([0, 2], {0: 1, 2: 1}, {2: BoundaryMatrix(1, 1)}),
+     "^chain degrees must be consecutive and ascending: \\[0, 2\\]$"),
+    (_Complex([0, 1], {0: 1, 1: 2}, {1: BoundaryMatrix(1, 1)}),
+     "^boundary 1 is 1x1, not 1x2$"),
+    (_Complex([], {}, {}), "^chain complex has no degrees$"),
+    (_Complex([0, 1], {0: 1, 1: 1}, {}),
+     "^chain complex has no boundary matrix in degree 1$"),
+]
+
+
 def test_homology_of_rejects_gapped_degrees_and_wrong_shapes():
-    gapped = _Complex([0, 2], {0: 1, 2: 1}, {2: BoundaryMatrix(1, 1)})
-    with pytest.raises(ValueError, match="consecutive"):
-        homology_of(gapped)
-    wrong = _Complex([0, 1], {0: 1, 1: 2}, {1: BoundaryMatrix(1, 1)})
-    with pytest.raises(ValueError, match="boundary 1 is 1x1, not 1x2"):
-        homology_of(wrong)
+    for complex_, message in MALFORMED_COMPLEXES:
+        with pytest.raises(ValueError, match=message):
+            homology_of(complex_)
+    with pytest.raises(ValueError, match="^chain complex has no degrees$"):
+        euler_characteristic(_Complex([], {}, {}))
 
 
 def test_homology_group_formatting_and_dicts():

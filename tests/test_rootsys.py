@@ -33,13 +33,17 @@ def test_parse_rejects_inadmissible_names(bad):
 
 
 @pytest.mark.parametrize("bad", ["A0", "B1", "D2", "E5", "E9", "F3", "F5",
-                                 "H2", "H5"])
+                                 "H2", "H5", "I2(0)", "I2(1)", "I2(2)"])
 def test_rank_rejections_keep_their_message(bad):
-    extra = " (D2 is reducible)" if bad == "D2" else ""
+    extra = {"D2": " (D2 is reducible)",
+             "I2(2)": " (I2(2) is reducible)"}.get(bad, "")
+    if bad.startswith("I2"):
+        message = f"{bad} is not supported: need m >= 3{extra}"
+    else:
+        message = f"{bad} is not a supported irreducible type{extra}"
     with pytest.raises(TypeParseError) as err:
         CoxeterType.parse(bad)
-    assert str(err.value) == (
-        f"{bad} is not a supported irreducible type{extra}")
+    assert str(err.value) == message
 
 
 def test_reducible_rejections_explain_themselves():
