@@ -4,15 +4,10 @@ Two commands: ``homology`` computes one homology table and prints it in
 a stable text, JSON, or CSV form; ``verify`` recomputes reference rows
 and structural invariants and reports one line per check.
 
-Exit codes: 0 success, 1 verification mismatch, 2 argument, type parse,
-dump path or ``NCPHOM_WORKERS`` error, 3 the table is too large: group
-cap, tensor entry cap, or out of memory.  ``verify`` reports a check that
-runs out of memory as a SKIP line.
-
-``NCPHOM_WORKERS`` sets how many verification tasks run in parallel
-(default: the machine's CPU count; 1 disables the process pool).  The
-pool module is imported only when a pool starts, that is, with more
-than one worker and more than one task.
+Exit codes: 0 success, 1 verification mismatch, 2 argument, type parse
+or dump path error, 3 the table is too large: group cap, tensor entry
+cap, or out of memory.  ``verify`` reports a check that runs out of
+memory as a SKIP line.
 """
 
 from __future__ import annotations
@@ -242,20 +237,17 @@ def _table_task(task):
     return (label, "PASS", format_text(groups))
 
 
-def _invariant_task(task):
-    """Run the property suite for one type.  Returns a result list: the
-    checks that finished, then one SKIP line if memory ran out."""
-    type_name, seed, cap = task
-    out = []
+def _invariant_task(type_name: str, cap: int):
+    """Run the property suite for one type.  Yields (label, status,
+    detail): the checks that finish, then one SKIP line if memory runs
+    out."""
     try:
-        for name, ok, detail in property_suite(type_name, seed=seed,
-                                               cap=cap):
-            out.append((f"invariants {type_name} {name}",
-                        "PASS" if ok else "FAIL", detail))
+        for name, ok, detail in property_suite(type_name, cap=cap):
+            yield (f"invariants {type_name} {name}",
+                   "PASS" if ok else "FAIL", detail)
     except MemoryError:
-        out.append((f"invariants {type_name}", "SKIP",
-                     _out_of_memory("invariants", type_name)))
-    return out
+        yield (f"invariants {type_name}", "SKIP",
+               _out_of_memory("invariants", type_name))
 
 
 def _table_tasks(args):
@@ -269,8 +261,7 @@ def _table_tasks(args):
             rank = args.max_rank
             if rank is None:
                 rank = DEFAULT_TABLE_RANK.get(space, 3)
-            types = [row.type_name for row in all_rows(
-                space if space != "FQ" else "FQ0", rank)]
+            types = [row.type_name for row in all_rows(space, rank)]
             if args.max_rank is None:
                 types += EXTRA_TABLE_TYPES.get(space, ())
             if rank >= 2:
@@ -279,23 +270,11 @@ def _table_tasks(args):
     return [(t, s, args.group_cap) for t, s in pairs]
 
 
-def _invariant_tasks(args):
-    types = args.type or [
+def _invariant_types(args):
+    return args.type or [
         t for t in SUPPORTED_RANK4
         if args.max_rank is None
         or CoxeterType.parse(t).rank <= args.max_rank]
-    return [(t, args.seed, args.group_cap) for t in types]
-
-
-def _run_tasks(fn, tasks, workers: int):
-    if workers > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(workers) as pool:
-            yield from pool.map(fn, tasks)
-    else:
-        for task in tasks:
-            yield fn(task)
 
 
 def cmd_verify(args) -> int:
@@ -308,12 +287,6 @@ def cmd_verify(args) -> int:
     if (_bad_bound("--max-rank", args.max_rank)
             or _bad_bound("--group-cap", args.group_cap)):
         return 2
-    text = os.environ.get("NCPHOM_WORKERS", str(os.cpu_count() or 1))
-    workers = int(text) if text.strip().isdecimal() else 0
-    if workers < 1:
-        print(f"error: NCPHOM_WORKERS must be an integer >= 1, got {text!r}",
-              file=sys.stderr)
-        return 2
     counts = {"PASS": 0, "FAIL": 0, "SKIP": 0}
 
     def emit(label, status, detail):
@@ -321,14 +294,12 @@ def cmd_verify(args) -> int:
         print(f"{status} {label}: {detail}")
 
     if args.suite in ("tables", "all"):
-        for label, status, detail in _run_tasks(
-                _table_task, _table_tasks(args), workers):
-            emit(label, status, detail)
+        for task in _table_tasks(args):
+            emit(*_table_task(task))
     if args.suite in ("invariants", "all"):
-        for results in _run_tasks(_invariant_task, _invariant_tasks(args),
-                                  workers):
-            for label, status, detail in results:
-                emit(label, status, detail)
+        for type_name in _invariant_types(args):
+            for line in _invariant_task(type_name, args.group_cap):
+                emit(*line)
     print(f"{counts['PASS']} passed, {counts['FAIL']} failed, "
           f"{counts['SKIP']} skipped")
     return 1 if counts["FAIL"] else 0
@@ -392,8 +363,6 @@ def make_parser() -> argparse.ArgumentParser:
                           "invariants of such a group in group-ring form; "
                           "FP never enumerates the group, so the cap never "
                           "skips it")
-    ver.add_argument("--seed", type=int, default=0,
-                     help="seed for randomized invariants")
     ver.set_defaults(fn=cmd_verify)
     return parser
 

@@ -135,6 +135,20 @@ def _sparse_diagonalize(matrix: BoundaryMatrix):
     for (r, c), v in matrix.entries.items():
         rows.setdefault(r, {})[c] = v
         cols.setdefault(c, set()).add(r)
+    # The loop needs every entry inside the shape and nonzero: a stored
+    # zero crashes a step or is taken as a pivot.  Explicit raises, so the
+    # checks also run under ``python -O``.
+    if rows and not (0 <= min(rows) and max(rows) < matrix.rows
+                     and 0 <= min(cols) and max(cols) < matrix.cols):
+        r, c = next(key for key in matrix.entries
+                    if not (0 <= key[0] < matrix.rows
+                            and 0 <= key[1] < matrix.cols))
+        raise ValueError(f"entry ({r}, {c}) lies outside the "
+                         f"{matrix.rows}x{matrix.cols} matrix")
+    if 0 in matrix.entries.values():
+        r, c = next(key for key, v in matrix.entries.items() if not v)
+        raise ValueError(f"entry ({r}, {c}) of the "
+                         f"{matrix.rows}x{matrix.cols} matrix is zero")
     diag = []
     unit_columns = []
     leading = True  # no non-unit step yet
@@ -242,6 +256,7 @@ class HomologyGroup(namedtuple("HomologyGroup", "free_rank torsion")):
     __slots__ = ()
 
     def __new__(cls, free_rank: int, torsion: tuple = ()):
+        torsion = tuple(torsion)
         if free_rank < 0:
             raise ValueError(f"negative free rank {free_rank}")
         if any(t <= 1 for t in torsion):

@@ -36,16 +36,17 @@ SUPPORTED_RANK4 = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "D3", "D4",
                    "F4", "H3", "H4", "I2(5)", "I2(6)", "I2(7)", "I2(8)")
 
 
-def property_suite(type_name: str, seed: int = 0,
-                   cap: int = DEFAULT_GROUP_CAP):
+def property_suite(type_name: str, cap: int = DEFAULT_GROUP_CAP):
     """Run every invariant for one type; yields (name, ok, detail).  No
-    group larger than ``cap`` is enumerated."""
+    group larger than ``cap`` is enumerated.  The randomized checks draw
+    from one generator seeded with 0, so every run checks the same
+    samples."""
     import random
 
     group = CoxeterGroup.from_name(type_name)
     lat = PartitionLattice(group)
     algebra = ChainAlgebra(lat)
-    rng = random.Random(seed)
+    rng = random.Random(0)
     checks = [
         ("hurwitz-braid-relations", check_hurwitz_braid),
         ("mobius-counts-factorizations", check_mobius_counts),

@@ -127,7 +127,11 @@ def _rank_of(type_name: str) -> int:
 
 def all_rows(space: str | None = None,
              max_rank: int | None = None) -> list:
-    """Stored rows filtered by space and rank, skipping nothing else."""
+    """Stored rows filtered by space and rank, skipping nothing else.
+    ``FQ`` rows are not stored: for ``FQ`` the stored ``FQ0`` rows come
+    doubled, in their order, as ``lookup`` gives them."""
+    if space == "FQ":
+        return [row.doubled() for row in all_rows("FQ0", max_rank)]
     out = []
     for row in load_rows():
         if space is not None and row.space != space:

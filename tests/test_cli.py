@@ -14,11 +14,6 @@ from ncphom.complexes import _unreduced_complex, build_complex
 from ncphom.refdata import ReferenceRow
 
 
-@pytest.fixture(autouse=True)
-def inline_workers(monkeypatch):
-    monkeypatch.setenv("NCPHOM_WORKERS", "1")
-
-
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -134,7 +129,7 @@ def test_verify_tables_reports_out_of_memory_as_skip(capsys, monkeypatch):
 
 def test_verify_invariants_keep_finished_checks_when_out_of_memory(
         capsys, monkeypatch):
-    def property_suite(type_name, seed=0, cap=None):
+    def property_suite(type_name, cap=None):
         yield ("first-check", True, "done")
         raise MemoryError
     monkeypatch.setattr("ncphom.cli.property_suite", property_suite)
@@ -536,8 +531,14 @@ def test_verify_skips_a_table_without_a_reference_row(capsys):
     ]
 
 
-def test_verify_runs_in_a_process_pool(capsys, monkeypatch):
+def test_verify_runs_every_task_in_the_calling_process(capsys, monkeypatch):
+    # A worker count left in the environment moves no work out of this
+    # process.
     monkeypatch.setenv("NCPHOM_WORKERS", "2")
+    seen = []
+    answer = cli.homology_of
+    monkeypatch.setattr("ncphom.cli.homology_of",
+                        lambda cx: seen.append(os.getpid()) or answer(cx))
     code, out, _ = run(capsys, "verify", "tables", "--space", "FP",
                        "--type", "I2(3)", "--type", "I2(4)")
     assert code == 0
@@ -546,21 +547,41 @@ def test_verify_runs_in_a_process_pool(capsys, monkeypatch):
         "PASS tables I2(4) FP: H0=Z H1=Z^3",
         "2 passed, 0 failed, 0 skipped",
     ]
+    assert seen == [os.getpid()] * 2
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-1", "", "2.5"])
-def test_bad_worker_count_exits_2(capsys, monkeypatch, value):
-    monkeypatch.setenv("NCPHOM_WORKERS", value)
-    code, out, err = run(capsys, "verify", "tables", "--type", "A2")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: NCPHOM_WORKERS")
+def test_verify_all_runs_tables_then_invariants(capsys):
+    code, out, err = run(capsys, "verify", "all", "--max-rank", "1")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "PASS tables A1 FP: H0=Z",
+        "PASS tables A1 FQ0: H0=Z",
+        "PASS invariants A1 hurwitz-braid-relations: "
+        "1000 random length-4 sequences",
+        "PASS invariants A1 mobius-counts-factorizations: all 2 elements",
+        "PASS invariants A1 unique-increasing-chain: 3 intervals",
+        "PASS invariants A1 quadratic-relations: "
+        "1 vanishing pairs, 0 rank-2 sums",
+        "PASS invariants A1 unitriangular-bases: 3 basis chains",
+        "PASS invariants A1 span-equality: "
+        "2 reduced factorizations of 2 elements",
+        "PASS invariants A1 algebra-differential-exact: "
+        "acyclic with predicted differential ranks",
+        "PASS invariants A1 boundary-squares-vanish: FP materialized, "
+        "MW materialized, FQ materialized, FQ0 materialized, M materialized",
+        "PASS invariants A1 fibre-doubling: "
+        "support check + numeric comparison",
+        "PASS invariants A1 leibniz-rule: no elements of rank 2 or more",
+        "PASS invariants A1 moebius-polynomial-ranks: coefficients [1, 1]",
+        "PASS invariants A1 shuffle-associative: 50 random triples",
+        "14 passed, 0 failed, 0 skipped",
+    ]
 
 
-def _fresh_python(*args, **env):
+def _fresh_python(*args):
     """Run ``python *args`` in a fresh interpreter that imports ncphom from
     this checkout's ``src``."""
-    env = dict(os.environ, **env)
+    env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
@@ -582,10 +603,10 @@ UNUSED_AT_START_UP = ("dataclasses", "inspect", "typing",
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_start_up_loads_only_what_a_table_run_needs(flags):
     """Importing the CLI and loading the reference rows leaves the named
-    standard-library modules unloaded: the process pool and ``random``
-    are imported where they are used.  A fresh interpreter is needed, as
-    pytest has loaded them here, and ``-S`` keeps ``.pth`` files in
-    site-packages from loading modules first."""
+    standard-library modules unloaded: nothing imports a process pool,
+    and ``random`` is imported where it is used.  A fresh interpreter is
+    needed, as pytest has loaded them here, and ``-S`` keeps ``.pth``
+    files in site-packages from loading modules first."""
     script = ("import sys\n"
               "import ncphom.cli\n"
               "ncphom.load_rows()\n"
@@ -641,7 +662,7 @@ def test_failed_invariant_reports_fail_under_optimize(flags):
         "p.MATERIALIZE_LIMIT = 0\n"
         "print('optimize', sys.flags.optimize)\n"
         "sys.exit(main(['verify', 'invariants', '--type', 'A2']))\n")
-    proc = _fresh_python(*flags, "-c", script, NCPHOM_WORKERS="1")
+    proc = _fresh_python(*flags, "-c", script)
     lines = proc.stdout.splitlines()
     assert lines[0] == f"optimize {len(flags)}"
     assert proc.returncode == 1, proc.stderr

@@ -341,6 +341,50 @@ def test_answer_checks_survive_python_dash_o():
     assert out.stdout.split() == ["raised"] * 8 + ["Z", "0", "0"]
 
 
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_smith_form_rejects_entries_outside_or_zero(flags):
+    """An entry outside the shape, or a stored zero, raises a ValueError
+    that names it, with and without ``python -O``, instead of answering
+    wrongly or failing inside the elimination."""
+    script = textwrap.dedent("""
+        from ncphom.homology import BoundaryMatrix, homology_of
+        from ncphom.homology import invariant_factors
+
+        class Complex:
+            degrees = [0, 1]
+            dims = {0: 1, 1: 1}
+            matrices = {1: BoundaryMatrix(1, 1, {(3, 0): 1})}
+
+        cases = [
+            lambda: invariant_factors(
+                BoundaryMatrix(2, 2, {(0, 0): 2, (0, 1): 0})),
+            lambda: invariant_factors(
+                BoundaryMatrix(3, 2, {(0, 0): 1, (0, 1): 1, (1, 0): 0,
+                                      (2, 1): 3})),
+            lambda: invariant_factors(BoundaryMatrix(1, 1, {(0, 5): 3})),
+            lambda: invariant_factors(BoundaryMatrix(1, 1, {(-1, 0): 3})),
+            lambda: homology_of(Complex()),
+        ]
+        for case in cases:
+            try:
+                print("returned", case())
+            except ValueError as err:
+                print(err)
+    """)
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, *flags, "-c", script],
+                         capture_output=True, text=True, timeout=60,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "entry (0, 1) of the 2x2 matrix is zero",
+        "entry (1, 0) of the 3x2 matrix is zero",
+        "entry (0, 5) lies outside the 1x1 matrix",
+        "entry (-1, 0) lies outside the 1x1 matrix",
+        "entry (3, 0) lies outside the 1x1 matrix",
+    ]
+
+
 def test_sparse_path_handles_negative_pivots():
     # regression guard: balanced remainders must shrink against negative
     # pivots too

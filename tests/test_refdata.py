@@ -149,6 +149,16 @@ def test_all_rows_filters():
     assert len(everything) == len(load_rows())
 
 
+@pytest.mark.parametrize("max_rank", [None, 4])
+def test_all_rows_gives_fq_rows_as_lookup_does(max_rank):
+    # FQ rows are not stored: both readers double the FQ0 rows.
+    fq = all_rows("FQ", max_rank)
+    assert fq == [lookup(row.type_name, "FQ")
+                  for row in all_rows("FQ0", max_rank)]
+    assert "D2" in [row.type_name for row in fq]
+    assert {row.space for row in fq} == {"FQ"}
+
+
 def test_lookup_propagates_errors_other_than_a_bad_type(monkeypatch):
     def parse(text):
         raise RuntimeError("parser fault")

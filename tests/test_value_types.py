@@ -83,6 +83,13 @@ def test_reprs_name_every_field():
         "CoxeterType(family='A', rank=3, dihedral_order=0)"
 
 
+def test_torsion_given_as_a_list_is_stored_as_a_tuple():
+    group = HomologyGroup(0, [2])
+    assert group == HomologyGroup(0, (2,))
+    assert hash(group) == hash(HomologyGroup(0, (2,)))
+    assert repr(group) == "HomologyGroup(free_rank=0, torsion=(2,))"
+
+
 def test_defaults():
     assert HomologyGroup(3).torsion == ()
     assert _row().status == "ok"
