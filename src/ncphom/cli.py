@@ -5,9 +5,11 @@ a stable text, JSON, or CSV form; ``verify`` recomputes reference rows
 and structural invariants and reports one line per check.
 
 Exit codes: 0 success, 1 verification mismatch, 2 argument, type parse
-or dump path error, 3 the table is too large: group cap, tensor entry
-cap, or out of memory.  ``verify`` reports a check that runs out of
-memory as a SKIP line.
+or dump path error, or a standard output that cannot be written (a
+closed pipe, a full device), which stops the run there; 3 the table is
+too large: group cap, tensor entry cap, or out of memory.  ``verify``
+reports a table or invariant check that is too large as a SKIP line.
+``main`` is the one place that turns an exception into an exit code.
 """
 
 from __future__ import annotations
@@ -151,12 +153,9 @@ def cmd_homology(args) -> int:
     # Every argument, and the group cap of a space that enumerates W, is
     # checked before the group is built.  The answer always comes from
     # the reduced complex; ``--dump-complex`` writes the unreduced one,
-    # which has the same homology.
-    try:
-        ctype = CoxeterType.parse(args.type)
-    except TypeParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    # which has the same homology.  ``main`` reports the errors.
+    ctype = CoxeterType.parse(args.type)
+    args.type = ctype.name  # the name an out-of-memory error gives
     if _bad_bound("--group-cap", args.group_cap):
         return 2
     if args.dump_basis is not None and not 0 <= args.dump_basis <= ctype.rank:
@@ -168,31 +167,20 @@ def cmd_homology(args) -> int:
               "so it cannot be combined with --dump-complex",
               file=sys.stderr)
         return 2
-    try:
-        if args.dump_basis is None and args.space in ENUMERATING_SPACES:
-            check_group_cap(ctype, args.group_cap)
-        _, lat, algebra = build_all(args.type)
-        if args.dump_lattice:
-            dump_lattice(lat, args.dump_lattice)
-        if args.dump_basis is not None:
-            print(dump_basis(algebra, args.dump_basis))
-            return 0
-        if args.dump_complex:
-            dump_complex(_unreduced_complex(algebra, args.space,
-                                            cap=args.group_cap),
-                         args.dump_complex)
-        complex_ = build_complex(algebra, args.space, cap=args.group_cap)
-        groups = homology_of(complex_)
-    except GroupCapExceeded as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
-    except MemoryError:
-        print(f"error: {_out_of_memory(args.space, ctype.name)}",
-              file=sys.stderr)
-        return 3
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    if args.dump_basis is None and args.space in ENUMERATING_SPACES:
+        check_group_cap(ctype, args.group_cap)
+    _, lat, algebra = build_all(args.type)
+    if args.dump_lattice:
+        dump_lattice(lat, args.dump_lattice)
+    if args.dump_basis is not None:
+        print(dump_basis(algebra, args.dump_basis))
+        return 0
+    if args.dump_complex:
+        dump_complex(_unreduced_complex(algebra, args.space,
+                                        cap=args.group_cap),
+                     args.dump_complex)
+    complex_ = build_complex(algebra, args.space, cap=args.group_cap)
+    groups = homology_of(complex_)
     if args.format == "text":
         print(format_text(groups))
     elif args.format == "json":
@@ -226,12 +214,10 @@ def _table_task(task):
     except MemoryError:
         return (label, "SKIP", _out_of_memory(space, type_name))
     euler = euler_characteristic(complex_)
-    expected = list(row.groups)
-    if len(groups) != len(expected) or any(
-            g != e for g, e in zip(groups, expected)):
+    if groups != list(row.groups):
         return (label, "FAIL",
                 f"computed {format_text(groups)} "
-                f"expected {format_text(expected)}")
+                f"expected {format_text(row.groups)}")
     if euler != row.euler:
         return (label, "FAIL", f"euler {euler} expected {row.euler}")
     return (label, "PASS", format_text(groups))
@@ -258,9 +244,7 @@ def _table_tasks(args):
     else:
         pairs = {}
         for space in spaces:
-            rank = args.max_rank
-            if rank is None:
-                rank = DEFAULT_TABLE_RANK.get(space, 3)
+            rank = args.max_rank or DEFAULT_TABLE_RANK.get(space, 3)
             types = [row.type_name for row in all_rows(space, rank)]
             if args.max_rank is None:
                 types += EXTRA_TABLE_TYPES.get(space, ())
@@ -278,12 +262,10 @@ def _invariant_types(args):
 
 
 def cmd_verify(args) -> int:
-    for requested in args.type or ():
-        try:
-            CoxeterType.parse(requested)
-        except TypeParseError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 2
+    # Each requested type is checked, and keyed by its canonical name,
+    # before anything runs; ``main`` reports a bad one.
+    args.type = list(dict.fromkeys(
+        CoxeterType.parse(t).name for t in args.type or ()))
     if (_bad_bound("--max-rank", args.max_rank)
             or _bad_bound("--group-cap", args.group_cap)):
         return 2
@@ -368,8 +350,30 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code, printing one ``error:``
+    line on stderr for a failure that ends the run."""
     args = make_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except (TypeParseError, OSError) as err:
+        code, message = 2, err
+    except GroupCapExceeded as err:
+        code, message = 3, err
+    except MemoryError:
+        code, message = 3, (_out_of_memory(args.space, args.type)
+                            if args.fn is cmd_homology else "out of memory")
+    print(f"error: {message}", file=sys.stderr)
+    # Text left in the buffer of a closed pipe or a full device would
+    # fail again in the final flush at exit.  Only the interpreter's own
+    # stdout is pointed at devnull; an in-process caller's stays as it is.
+    try:
+        sys.stdout.flush()
+    except OSError:
+        if sys.stdout is sys.__stdout__:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

@@ -83,8 +83,10 @@ class CoxeterType(namedtuple("CoxeterType", "family rank dihedral_order",
                 f"cannot parse Coxeter type {text!r}; expected one of "
                 "A<n>, B<n>, D<n>, E6|E7|E8, F4, H3|H4, I2(m)")
         family, rank = m.group(1), int(m.group(2))
+        # E, F and H ranks are looked up; the A, B and D formulas are not
+        # called, since a huge rank would build a huge degree tuple.
         if (rank < {"B": 2, "D": 3}.get(family, 1)
-                or DEGREES[family](rank) is None):
+                or family in "EFH" and DEGREES[family](rank) is None):
             extra = ""
             if family == "D" and rank == 2:
                 extra = " (D2 is reducible)"

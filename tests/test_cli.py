@@ -1,6 +1,8 @@
 """Command line interface: formats, dumps, verify, exit codes."""
 
+import errno
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -455,6 +457,27 @@ def test_verify_rejects_bad_type_upfront(capsys):
     assert "reducible" in err
 
 
+def test_verify_keys_each_table_by_its_canonical_type_name(capsys):
+    code, out, err = run(capsys, "verify", "tables", "--space", "FP",
+                         "--type", "A3", "--type", "A03", "--type", " A3")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "PASS tables A3 FP: H0=Z H1=Z^2 H2=Z^2",
+        "1 passed, 0 failed, 0 skipped",
+    ]
+
+
+def test_verify_keys_each_invariant_check_by_its_canonical_type_name(
+        capsys):
+    code, out, err = run(capsys, "verify", "invariants",
+                         "--type", " A1", "--type", "A01", "--type", "A1")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 13
+    assert all(line.startswith("PASS invariants A1 ") for line in lines[:-1])
+    assert lines[-1] == "12 passed, 0 failed, 0 skipped"
+
+
 def test_verify_max_rank_one_runs_a1_only(capsys):
     code, out, _ = run(capsys, "verify", "tables", "--max-rank", "1",
                        "--space", "FP")
@@ -578,15 +601,19 @@ def test_verify_all_runs_tables_then_invariants(capsys):
     ]
 
 
-def _fresh_python(*args):
+def _fresh_python(*args, stdout=subprocess.PIPE):
     """Run ``python *args`` in a fresh interpreter that imports ncphom from
-    this checkout's ``src``."""
+    this checkout's ``src``.  Its stderr is captured, and so is its stdout
+    unless another one is given.  Its stdout is block-buffered, as a
+    pipe's or a file's is by default, unless ``-u`` is passed."""
     env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, *args], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=env,
+                          timeout=60)
 
 
 def test_python_dash_m_runs_the_cli():
@@ -670,3 +697,99 @@ def test_failed_invariant_reports_fail_under_optimize(flags):
     assert failed == ["FAIL invariants A2 boundary-squares-vanish",
                       "FAIL invariants A2 fibre-doubling"]
     assert lines[-1].endswith("2 failed, 0 skipped")
+
+
+# -- one error handler -------------------------------------------------------
+
+def _unwritable_stdout(kind):
+    """A write-only file descriptor that refuses every write: a pipe whose
+    read end is already closed, or ``/dev/full``."""
+    if kind == "closed-pipe":
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        return write_end
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    return os.open("/dev/full", os.O_WRONLY)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"], ["-u"]])
+@pytest.mark.parametrize("kind", ["closed-pipe", "dev-full"])
+@pytest.mark.parametrize("argv", [
+    ["homology", "A3", "FP"],
+    ["verify", "tables", "--type", "A2"],
+], ids=["homology", "verify"])
+def test_unwritable_stdout_exits_2_with_one_error_line(flags, kind, argv):
+    fd = _unwritable_stdout(kind)
+    try:
+        proc = _fresh_python(*flags, "-m", "ncphom", *argv, stdout=fd)
+    finally:
+        os.close(fd)
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+
+
+class _BrokenStdout(io.StringIO):
+    """A stdout without a file descriptor that fails every write, as a
+    closed pipe does."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+class _BrokenStdoutThatCannotFlush(_BrokenStdout):
+    """The same, failing its flush too: main must not look for its file
+    descriptor, for it has none."""
+
+    def flush(self):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+@pytest.mark.parametrize("stdout", [_BrokenStdout,
+                                    _BrokenStdoutThatCannotFlush])
+@pytest.mark.parametrize("argv", [
+    ["homology", "A3", "FP"],
+    ["verify", "tables", "--type", "A2"],
+], ids=["homology", "verify"])
+def test_stdout_write_error_returns_2_in_process(capsys, monkeypatch,
+                                                 stdout, argv):
+    monkeypatch.setattr(sys, "stdout", stdout())
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+
+
+ADDRESS_SPACE_LIMIT = 2 << 30
+
+
+def _under_address_space_limit(*argv):
+    """Run ``main(argv)`` in a fresh interpreter whose address space is
+    capped at 2 GB by ``resource.setrlimit`` before ncphom is imported, as
+    a ``ulimit -v`` would cap it."""
+    pytest.importorskip("resource")
+    script = ("import resource, sys\n"
+              "resource.setrlimit(resource.RLIMIT_AS, "
+              f"({ADDRESS_SPACE_LIMIT}, {ADDRESS_SPACE_LIMIT}))\n"
+              "from ncphom.cli import main\n"
+              f"sys.exit(main({list(argv)!r}))\n")
+    return _fresh_python("-c", script)
+
+
+def test_verify_skips_a_huge_rank_without_building_its_degrees():
+    proc = _under_address_space_limit("verify", "tables",
+                                      "--type", "A1000000000000")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == [
+        "SKIP tables A1000000000000 FP: no reference row",
+        "SKIP tables A1000000000000 FQ0: no reference row",
+        "0 passed, 0 failed, 2 skipped",
+    ]
+
+
+def test_homology_of_a_huge_rank_runs_out_of_memory_and_exits_3():
+    proc = _under_address_space_limit("homology", "A1000000000000", "FP")
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == (
+        "error: out of memory computing FP of A1000000000000\n")
