@@ -10,8 +10,10 @@ forms.  Everything is exact integer arithmetic.
 The package imports on use: ``import ncphom`` loads none of its
 submodules, and each name below loads the submodule that defines it on
 first access (PEP 562).  Reading the reference rows (``load_rows``,
-``lookup``, ``all_rows``) loads ``refdata`` and what it imports,
-``homology`` and ``rootsys``; the group, lattice, chain and complex
+``lookup``, ``all_rows``) loads ``refdata`` and the one module it
+imports, ``values``, which holds the value types (``CoxeterType``,
+``TypeParseError``, ``HomologyGroup``) and imports nothing from the
+package; the root-system, group, lattice, chain, Smith-form and complex
 layers load when one of their names is first used.  ``ncphom.cli``,
 which ``python -m ncphom`` runs, imports every layer and ``argparse``,
 so only a caller that reads rows without computing loads less.
@@ -26,12 +28,13 @@ _EXPORTS = {
     "complexes": ("SPACES", "ChainComplex", "build_algebra_complex",
                   "build_complex"),
     "coxgroup": ("DEFAULT_GROUP_CAP", "CoxeterGroup", "GroupCapExceeded"),
-    "homology": ("BoundaryMatrix", "HomologyGroup", "euler_characteristic",
-                 "homology_of", "invariant_factors"),
+    "homology": ("BoundaryMatrix", "euler_characteristic", "homology_of",
+                 "invariant_factors"),
     "lattice": ("PartitionLattice",),
     "properties": ("property_suite",),
     "refdata": ("ReferenceRow", "all_rows", "load_rows", "lookup"),
-    "rootsys": ("CoxeterType", "TypeParseError"),
+    "rootsys": (),
+    "values": ("CoxeterType", "HomologyGroup", "TypeParseError"),
 }
 _DEFINED_IN = {name: module for module, names in _EXPORTS.items()
                for name in names}

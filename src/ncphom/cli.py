@@ -28,7 +28,7 @@ from .homology import euler_characteristic, homology_of
 from .lattice import PartitionLattice
 from .properties import SUPPORTED_RANK4, property_suite
 from .refdata import all_rows, lookup
-from .rootsys import CoxeterType, TypeParseError
+from .values import CoxeterType, TypeParseError
 
 DEFAULT_TABLE_RANK = {"FP": 5, "FQ0": 3}
 EXTRA_TABLE_TYPES = {"FP": ("A6",)}

@@ -36,6 +36,7 @@ from math import lcm
 from .rootsys import CoxeterType, RootSystem
 
 DEFAULT_GROUP_CAP = 52000
+_NAMED_RANK = 1000
 
 
 class GroupCapExceeded(RuntimeError):
@@ -44,11 +45,17 @@ class GroupCapExceeded(RuntimeError):
 
 def check_group_cap(ctype: CoxeterType, cap: int | None) -> None:
     """Raise ``GroupCapExceeded`` if |W| of a type exceeds the cap; None
-    is no cap.  Reads the order off the type, so nothing is built."""
-    order = ctype.group_order
-    if cap is not None and order > cap:
-        raise GroupCapExceeded(
-            f"|W({ctype})| = {order} exceeds the cap {cap}")
+    is no cap.  Reads the order off the type, so nothing is built.  Each
+    degree is at least 2, so |W| >= 2^rank, and a rank of at least the
+    cap's bit length is over the cap without its degrees being listed:
+    a huge A, B or D rank never builds its degree tuple.  The message
+    names |W| up to rank ``_NAMED_RANK``, whose orders print in under
+    4300 digits (CPython's default limit on int-to-str conversion)."""
+    if cap is None or (ctype.rank < cap.bit_length()
+                       and ctype.group_order <= cap):
+        return
+    order = f" = {ctype.group_order}" if ctype.rank <= _NAMED_RANK else ""
+    raise GroupCapExceeded(f"|W({ctype})|{order} exceeds the cap {cap}")
 
 
 def _compose(a, b):

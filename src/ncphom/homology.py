@@ -52,14 +52,17 @@ repeats one degree up.  Homology per degree k is then assembled as
     torsion   = invariant factors > 1 of the incoming boundary,
 
 with chain degrees re-indexed to topological degrees by the complex's
-lowest degree.
+lowest degree, each degree's group a ``HomologyGroup``.  That value type
+lives in ``values``, so reading reference rows does not load this
+module; ``homology.HomologyGroup`` is the same object.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from heapq import heapify, heappop, heappush
 from math import gcd
+
+from .values import HomologyGroup
 
 DENSE_LIMIT = 200
 
@@ -247,51 +250,6 @@ def _divisibility_fixup(factors):
                 g = gcd(a, b)
                 factors[i], factors[j] = g, a * b // g
     return ones + factors
-
-
-class HomologyGroup(namedtuple("HomologyGroup", "free_rank torsion")):
-    """One integral homology group: free rank plus invariant-factor
-    torsion (each factor > 1, each dividing the next)."""
-
-    __slots__ = ()
-
-    def __new__(cls, free_rank: int, torsion: tuple = ()):
-        torsion = tuple(torsion)
-        if free_rank < 0:
-            raise ValueError(f"negative free rank {free_rank}")
-        if any(t <= 1 for t in torsion):
-            raise ValueError(f"torsion factors must exceed 1: {torsion}")
-        for a, b in zip(torsion, torsion[1:]):
-            if b % a:
-                raise ValueError(
-                    f"torsion factors must divide the next: {torsion}")
-        return super().__new__(cls, free_rank, torsion)
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
-
-    def __str__(self) -> str:
-        parts = []
-        if self.free_rank == 1:
-            parts.append("Z")
-        elif self.free_rank > 1:
-            parts.append(f"Z^{self.free_rank}")
-        parts.extend(f"Z_{t}" for t in self.torsion)
-        return "+".join(parts) if parts else "0"
-
-    def to_dict(self) -> dict:
-        return {"free": self.free_rank, "torsion": list(self.torsion)}
-
-    @staticmethod
-    def from_dict(d: dict) -> "HomologyGroup":
-        return HomologyGroup(d["free"], tuple(d["torsion"]))
-
-    def doubled(self) -> "HomologyGroup":
-        """Direct sum with itself."""
-        return HomologyGroup(
-            2 * self.free_rank,
-            tuple(sorted(self.torsion + self.torsion)))
 
 
 def homology_of(complex_) -> list:

@@ -25,8 +25,7 @@ import json
 import os
 from collections import namedtuple
 
-from .homology import HomologyGroup
-from .rootsys import CoxeterType, TypeParseError
+from .values import CoxeterType, HomologyGroup, TypeParseError
 
 DATA_FILES = (
     "fp_exceptional", "fq0_exceptional",

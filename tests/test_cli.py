@@ -4,6 +4,7 @@ import errno
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -648,12 +649,12 @@ def test_start_up_loads_only_what_a_table_run_needs(flags):
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_reference_rows_load_without_the_compute_layers(flags):
     """``import ncphom`` loads none of its submodules, and loading the rows
-    and looking one up loads only ``refdata`` and what it imports, none of
-    the group, lattice, chain, complex, invariant or CLI modules.  The
-    first use of a name loads the submodule that defines it, and then
-    every exported name and submodule resolves."""
+    and looking one up loads only ``refdata`` and ``values``, none of the
+    root-system, group, lattice, chain, Smith-form, complex, invariant or
+    CLI modules.  The first use of a name loads the submodule that defines
+    it, and then every exported name and submodule resolves."""
     submodules = ("chain_algebra complexes coxgroup homology lattice "
-                  "properties refdata rootsys")
+                  "properties refdata rootsys values")
     script = ("import sys\n"
               "def loaded():\n"
               "    print(*sorted(m[7:] for m in sys.modules\n"
@@ -671,8 +672,17 @@ def test_reference_rows_load_without_the_compute_layers(flags):
     proc = _fresh_python("-S", *flags, "-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n") == [
-        "", "homology refdata rootsys", "coxgroup homology refdata rootsys",
+        "", "refdata values", "coxgroup refdata rootsys values",
         submodules, ""]
+
+
+def test_the_value_types_import_nothing_from_the_package():
+    proc = _fresh_python("-S", "-c",
+                         "import sys, ncphom.values\n"
+                         "print(*sorted(m for m in sys.modules\n"
+                         "              if m.startswith('ncphom.')))")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "ncphom.values\n"
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
@@ -793,3 +803,26 @@ def test_homology_of_a_huge_rank_runs_out_of_memory_and_exits_3():
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr == (
         "error: out of memory computing FP of A1000000000000\n")
+
+
+@pytest.mark.parametrize("type_name,space", [
+    ("A1000000000000", "FQ0"), ("A1000000000000", "FQ"),
+    ("A1000000000000", "M"), ("B1000000000000", "FQ0"),
+    ("D1000000000000", "FQ0"), ("A3000", "FQ0"),
+])
+def test_homology_of_a_huge_rank_is_refused_by_the_group_cap(type_name,
+                                                             space):
+    """|W| >= 2^rank, so the cap refuses a huge rank without listing its
+    degrees, and the message names the cap, not the memory.  It leaves
+    out |W| above rank 1000: A3000's has over 4300 digits, more than
+    ``str`` converts."""
+    proc = _under_address_space_limit("homology", type_name, space)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == f"error: |W({type_name})| exceeds the cap 52000\n"
+
+
+def test_the_group_cap_names_the_order_up_to_rank_1000(capsys):
+    code, out, err = run(capsys, "homology", "A1000", "FQ0")
+    assert (code, out) == (3, "")
+    assert err == (f"error: |W(A1000)| = {math.factorial(1001)} exceeds "
+                   "the cap 52000\n")

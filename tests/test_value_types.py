@@ -6,6 +6,9 @@ import pickle
 
 import pytest
 
+import ncphom.homology
+import ncphom.rootsys
+import ncphom.values
 from conftest import algebra_for
 from ncphom import (BoundaryMatrix, ChainComplex, CoxeterType, HomologyGroup,
                     ReferenceRow)
@@ -53,6 +56,34 @@ def test_different_values_are_unequal(a, b):
 @pytest.mark.parametrize("value", [pair[0] for pair in EQUAL_PAIRS])
 def test_values_survive_pickling(value):
     assert pickle.loads(pickle.dumps(value)) == value
+
+
+def test_old_module_names_are_the_value_types():
+    assert ncphom.rootsys.CoxeterType is ncphom.values.CoxeterType
+    assert ncphom.rootsys.TypeParseError is ncphom.values.TypeParseError
+    assert ncphom.rootsys.DEGREES is ncphom.values.DEGREES
+    assert ncphom.homology.HomologyGroup is ncphom.values.HomologyGroup
+
+
+# Pickles written before the value types moved to ``ncphom.values``; they
+# name the classes by their old modules.
+OLD_PICKLES = [
+    (b"\x80\x04\x95/\x00\x00\x00\x00\x00\x00\x00\x8c\x0fncphom.homology"
+     b"\x94\x8c\rHomologyGroup\x94\x93\x94K\x01K\x02\x85\x94\x86\x94\x81\x94.",
+     HomologyGroup(1, (2,))),
+    (b"\x80\x04\x95.\x00\x00\x00\x00\x00\x00\x00\x8c\x0encphom.rootsys"
+     b"\x94\x8c\x0bCoxeterType\x94\x93\x94\x8c\x01A\x94K\x03K\x00\x87\x94"
+     b"\x81\x94.",
+     CoxeterType.parse("A3")),
+]
+
+
+@pytest.mark.parametrize("data,value", OLD_PICKLES,
+                         ids=["HomologyGroup", "CoxeterType"])
+def test_old_pickles_still_load(data, value):
+    loaded = pickle.loads(data)
+    assert type(loaded) is type(value)
+    assert loaded == value
 
 
 def _graded_basis():
