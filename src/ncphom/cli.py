@@ -7,8 +7,10 @@ and structural invariants and reports one line per check.
 Exit codes: 0 success, 1 verification mismatch, 2 argument, type parse
 or dump path error, or a standard output that cannot be written (a
 closed pipe, a full device), which stops the run there; 3 the table is
-too large: group cap, tensor entry cap, or out of memory.  ``verify``
-reports a table or invariant check that is too large as a SKIP line.
+too large: a group-tensored space (FQ, FQ0, M) of a group over the fixed
+cap ``coxgroup.DEFAULT_GROUP_CAP``, a boundary over the tensor entry cap,
+or out of memory.  ``verify`` reports a table or invariant check that is
+too large as a SKIP line.
 ``main`` is the one place that turns an exception into an exit code.
 """
 
@@ -22,8 +24,7 @@ import sys
 from .chain_algebra import ChainAlgebra
 from .complexes import (ENUMERATING_SPACES, FIBRE_SPACES, SPACES,
                         _unreduced_complex, build_complex)
-from .coxgroup import (DEFAULT_GROUP_CAP, CoxeterGroup, GroupCapExceeded,
-                       check_group_cap)
+from .coxgroup import CoxeterGroup, GroupCapExceeded, check_group_cap
 from .homology import euler_characteristic, homology_of
 from .lattice import PartitionLattice
 from .properties import SUPPORTED_RANK4, property_suite
@@ -140,15 +141,6 @@ def _out_of_memory(what: str, type_name: str) -> str:
 
 # -- homology command --------------------------------------------------------
 
-def _bad_bound(name: str, value) -> bool:
-    """Report a bound option below 1 on stderr."""
-    if value is not None and value < 1:
-        print(f"error: {name} must be at least 1, got {value}",
-              file=sys.stderr)
-        return True
-    return False
-
-
 def cmd_homology(args) -> int:
     # Every argument, and the group cap of a space that enumerates W, is
     # checked before the group is built.  The answer always comes from
@@ -156,8 +148,6 @@ def cmd_homology(args) -> int:
     # which has the same homology.  ``main`` reports the errors.
     ctype = CoxeterType.parse(args.type)
     args.type = ctype.name  # the name an out-of-memory error gives
-    if _bad_bound("--group-cap", args.group_cap):
-        return 2
     if args.dump_basis is not None and not 0 <= args.dump_basis <= ctype.rank:
         print(f"error: --dump-basis K must be in 0..{ctype.rank} for "
               f"{ctype.name}, got {args.dump_basis}", file=sys.stderr)
@@ -168,7 +158,7 @@ def cmd_homology(args) -> int:
               file=sys.stderr)
         return 2
     if args.dump_basis is None and args.space in ENUMERATING_SPACES:
-        check_group_cap(ctype, args.group_cap)
+        check_group_cap(ctype)
     _, lat, algebra = build_all(args.type)
     if args.dump_lattice:
         dump_lattice(lat, args.dump_lattice)
@@ -176,10 +166,9 @@ def cmd_homology(args) -> int:
         print(dump_basis(algebra, args.dump_basis))
         return 0
     if args.dump_complex:
-        dump_complex(_unreduced_complex(algebra, args.space,
-                                        cap=args.group_cap),
+        dump_complex(_unreduced_complex(algebra, args.space),
                      args.dump_complex)
-    complex_ = build_complex(algebra, args.space, cap=args.group_cap)
+    complex_ = build_complex(algebra, args.space)
     groups = homology_of(complex_)
     if args.format == "text":
         print(format_text(groups))
@@ -195,7 +184,7 @@ def cmd_homology(args) -> int:
 
 def _table_task(task):
     """Recompute one reference row.  Returns (label, status, detail)."""
-    type_name, space, cap = task
+    type_name, space = task
     label = f"tables {type_name} {space}"
     row = lookup(type_name, space)
     if row is None:
@@ -204,10 +193,8 @@ def _table_task(task):
         return (label, "SKIP", f"reference row marked {row.status!r}"
                 if row.status != "ok" else "reference row incomplete")
     try:
-        if space in ENUMERATING_SPACES:
-            check_group_cap(CoxeterType.parse(type_name), cap)
         _, _, algebra = build_all(type_name)
-        complex_ = build_complex(algebra, space, cap=cap)
+        complex_ = build_complex(algebra, space)
         groups = homology_of(complex_)
     except GroupCapExceeded as err:
         return (label, "SKIP", str(err))
@@ -223,12 +210,12 @@ def _table_task(task):
     return (label, "PASS", format_text(groups))
 
 
-def _invariant_task(type_name: str, cap: int):
+def _invariant_task(type_name: str):
     """Run the property suite for one type.  Yields (label, status,
     detail): the checks that finish, then one SKIP line if memory runs
     out."""
     try:
-        for name, ok, detail in property_suite(type_name, cap=cap):
+        for name, ok, detail in property_suite(type_name):
             yield (f"invariants {type_name} {name}",
                    "PASS" if ok else "FAIL", detail)
     except MemoryError:
@@ -251,7 +238,7 @@ def _table_tasks(args):
             if rank >= 2:
                 types += [f"I2({m})" for m in DIHEDRAL_TABLE_ORDERS]
             pairs.update(dict.fromkeys((t, space) for t in types))
-    return [(t, s, args.group_cap) for t, s in pairs]
+    return list(pairs)
 
 
 def _invariant_types(args):
@@ -266,8 +253,9 @@ def cmd_verify(args) -> int:
     # before anything runs; ``main`` reports a bad one.
     args.type = list(dict.fromkeys(
         CoxeterType.parse(t).name for t in args.type or ()))
-    if (_bad_bound("--max-rank", args.max_rank)
-            or _bad_bound("--group-cap", args.group_cap)):
+    if args.max_rank is not None and args.max_rank < 1:
+        print(f"error: --max-rank must be at least 1, got {args.max_rank}",
+              file=sys.stderr)
         return 2
     counts = {"PASS": 0, "FAIL": 0, "SKIP": 0}
 
@@ -280,7 +268,7 @@ def cmd_verify(args) -> int:
             emit(*_table_task(task))
     if args.suite in ("invariants", "all"):
         for type_name in _invariant_types(args):
-            for line in _invariant_task(type_name, args.group_cap):
+            for line in _invariant_task(type_name):
                 emit(*line)
     print(f"{counts['PASS']} passed, {counts['FAIL']} failed, "
           f"{counts['SKIP']} skipped")
@@ -309,10 +297,6 @@ def make_parser() -> argparse.ArgumentParser:
                           "the Artin group classifying space")
     hom.add_argument("--format", choices=("text", "json", "csv"),
                      default="text")
-    hom.add_argument("--group-cap", type=int, default=DEFAULT_GROUP_CAP,
-                     help="refuse to enumerate groups larger than this "
-                          "(at least 1); only FQ, FQ0 and M enumerate the "
-                          "group")
     hom.add_argument("--dump-lattice", metavar="PATH",
                      help="write the lattice (elements, ranks, labelled "
                           "covers) as JSON to PATH")
@@ -339,12 +323,6 @@ def make_parser() -> argparse.ArgumentParser:
     ver.add_argument("--max-rank", type=int,
                      help="rank bound (at least 1) for the default "
                           "selections")
-    ver.add_argument("--group-cap", type=int, default=DEFAULT_GROUP_CAP,
-                     help="never enumerate a group larger than this (at "
-                          "least 1): skip such FQ and FQ0 tables, and check "
-                          "invariants of such a group in group-ring form; "
-                          "FP never enumerates the group, so the cap never "
-                          "skips it")
     ver.set_defaults(fn=cmd_verify)
     return parser
 

@@ -85,7 +85,7 @@ law be checked for groups too large to enumerate.
 from __future__ import annotations
 
 from .chain_algebra import ChainAlgebra
-from .coxgroup import DEFAULT_GROUP_CAP, ElementList, GroupCapExceeded
+from .coxgroup import ElementList, GroupCapExceeded
 from .homology import BoundaryMatrix, compose
 
 SPACES = ("FP", "FQ0", "FQ", "M", "MW")
@@ -187,22 +187,22 @@ def _plain_deletion(algebra: ChainAlgebra, k: int) -> dict:
             for i in range(k)}
 
 
-def build_complex(algebra: ChainAlgebra, space: str,
-                  cap: int = DEFAULT_GROUP_CAP) -> ChainComplex:
+def build_complex(algebra: ChainAlgebra, space: str) -> ChainComplex:
     """The complex of one space: the group-ring boundary of every degree,
     with its unit entries eliminated over Z[W] for the group-tensored
-    spaces, tensored with the space's slots."""
-    form = _GroupRingComplex(algebra, space, cap)
+    spaces, tensored with the space's slots.  FQ, FQ0 and M enumerate W,
+    so they raise GroupCapExceeded when |W| exceeds ``DEFAULT_GROUP_CAP``;
+    FP and MW never do."""
+    form = _GroupRingComplex(algebra, space)
     if space in ENUMERATING_SPACES:  # only Z[W] is reduced
         form.reduce()
     return form.tensor()
 
 
-def _unreduced_complex(algebra: ChainAlgebra, space: str,
-                       cap: int = DEFAULT_GROUP_CAP) -> ChainComplex:
+def _unreduced_complex(algebra: ChainAlgebra, space: str) -> ChainComplex:
     """The complex of one space with every basis chain kept: what
     ``--dump-complex`` writes and the pinned digests fix."""
-    return _GroupRingComplex(algebra, space, cap).tensor()
+    return _GroupRingComplex(algebra, space).tensor()
 
 
 class _GroupRingComplex:
@@ -218,7 +218,7 @@ class _GroupRingComplex:
     degree-k basis: ``[0]`` for FP and MW.
     """
 
-    def __init__(self, algebra: ChainAlgebra, space: str, cap):
+    def __init__(self, algebra: ChainAlgebra, space: str):
         group = self.group = algebra.group
         self.space = space
         # Fibre complexes start at degree 1, complements at degree 0.  An
@@ -228,7 +228,7 @@ class _GroupRingComplex:
         self.degrees = list(range(int(fibre), group.rank + 1))
         keys = group.reflection_keys + (group.identity,)  # t = -1: identity
         if space in ENUMERATING_SPACES:
-            self.elements = group.enumerate_elements(cap)
+            self.elements = group.enumerate_elements()
         else:
             self.elements = ElementList([group.identity],
                                         dict.fromkeys(keys, 0), [], [None])

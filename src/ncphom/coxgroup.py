@@ -43,19 +43,21 @@ class GroupCapExceeded(RuntimeError):
     """Raised when an operation would enumerate a group above the cap."""
 
 
-def check_group_cap(ctype: CoxeterType, cap: int | None) -> None:
-    """Raise ``GroupCapExceeded`` if |W| of a type exceeds the cap; None
-    is no cap.  Reads the order off the type, so nothing is built.  Each
-    degree is at least 2, so |W| >= 2^rank, and a rank of at least the
-    cap's bit length is over the cap without its degrees being listed:
-    a huge A, B or D rank never builds its degree tuple.  The message
-    names |W| up to rank ``_NAMED_RANK``, whose orders print in under
-    4300 digits (CPython's default limit on int-to-str conversion)."""
-    if cap is None or (ctype.rank < cap.bit_length()
-                       and ctype.group_order <= cap):
+def check_group_cap(ctype: CoxeterType) -> None:
+    """Raise ``GroupCapExceeded`` if |W| of a type exceeds
+    ``DEFAULT_GROUP_CAP``.  Reads the order off the type, so nothing is
+    built.  Each degree is at least 2, so |W| >= 2^rank, and a rank of at
+    least the cap's bit length is over the cap without its degrees being
+    listed: a huge A, B or D rank never builds its degree tuple.  The
+    message names |W| up to rank ``_NAMED_RANK``, whose orders print in
+    under 4300 digits (CPython's default limit on int-to-str
+    conversion)."""
+    if (ctype.rank < DEFAULT_GROUP_CAP.bit_length()
+            and ctype.group_order <= DEFAULT_GROUP_CAP):
         return
     order = f" = {ctype.group_order}" if ctype.rank <= _NAMED_RANK else ""
-    raise GroupCapExceeded(f"|W({ctype})|{order} exceeds the cap {cap}")
+    raise GroupCapExceeded(
+        f"|W({ctype})|{order} exceeds the cap {DEFAULT_GROUP_CAP}")
 
 
 def _compose(a, b):
@@ -205,11 +207,12 @@ class CoxeterGroup:
 
     # -- enumeration ---------------------------------------------------------
 
-    def enumerate_elements(self, cap: int = DEFAULT_GROUP_CAP):
+    def enumerate_elements(self):
         """All group elements in sorted order, as an ``ElementList``, by
         breadth-first search over products with simple reflections;
-        raises GroupCapExceeded if |W| exceeds the cap."""
-        check_group_cap(self.ctype, cap)
+        raises GroupCapExceeded, before any work, if |W| exceeds
+        ``DEFAULT_GROUP_CAP``."""
+        check_group_cap(self.ctype)
         order = self.ctype.group_order
         found = [self.identity]
         position = {self.identity: 0}

@@ -12,9 +12,9 @@ complex computes the restricted answer doubled, the differential obeys
 the Leibniz rule on splits, the graded ranks match the Moebius
 polynomial of the lattice, and the shuffle product is associative.
 
-Group-tensored complexes are materialized only for small groups, at
-most the group cap; larger ones are checked in formal group-ring form,
-which never enumerates the group (see
+Group-tensored complexes are materialized only for small groups, of
+order at most ``MATERIALIZE_LIMIT``; larger ones are checked in formal
+group-ring form, which never enumerates the group (see
 complexes.group_ring_square_is_zero).
 """
 
@@ -25,7 +25,7 @@ from .complexes import (ENUMERATING_SPACES, SPACES, _unreduced_complex,
                         build_algebra_complex, build_complex,
                         fibre_support_is_reflections,
                         group_ring_square_is_zero)
-from .coxgroup import DEFAULT_GROUP_CAP, CoxeterGroup
+from .coxgroup import CoxeterGroup
 from .homology import homology_of, invariant_factors
 from .lattice import PartitionLattice
 
@@ -36,11 +36,11 @@ SUPPORTED_RANK4 = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "D3", "D4",
                    "F4", "H3", "H4", "I2(5)", "I2(6)", "I2(7)", "I2(8)")
 
 
-def property_suite(type_name: str, cap: int = DEFAULT_GROUP_CAP):
+def property_suite(type_name: str):
     """Run every invariant for one type; yields (name, ok, detail).  No
-    group larger than ``cap`` is enumerated.  The randomized checks draw
-    from one generator seeded with 0, so every run checks the same
-    samples."""
+    group larger than ``MATERIALIZE_LIMIT`` is enumerated.  The randomized
+    checks draw from one generator seeded with 0, so every run checks the
+    same samples."""
     import random
 
     group = CoxeterGroup.from_name(type_name)
@@ -55,10 +55,8 @@ def property_suite(type_name: str, cap: int = DEFAULT_GROUP_CAP):
         ("unitriangular-bases", check_unitriangular),
         ("span-equality", check_span_equality),
         ("algebra-differential-exact", check_algebra_exact),
-        ("boundary-squares-vanish",
-         lambda algebra, rng: check_boundary_squares(algebra, rng, cap)),
-        ("fibre-doubling",
-         lambda algebra, rng: check_fibre_doubling(algebra, rng, cap)),
+        ("boundary-squares-vanish", check_boundary_squares),
+        ("fibre-doubling", check_fibre_doubling),
         ("leibniz-rule", check_leibniz),
         ("moebius-polynomial-ranks", check_poincare_ranks),
         ("shuffle-associative", check_shuffle_associative),
@@ -229,12 +227,11 @@ def check_algebra_exact(algebra: ChainAlgebra, rng) -> str:
     return "acyclic with predicted differential ranks"
 
 
-def check_boundary_squares(algebra: ChainAlgebra, rng,
-                           cap: int = DEFAULT_GROUP_CAP) -> str:
+def check_boundary_squares(algebra: ChainAlgebra, rng) -> str:
     """The boundaries square to zero: materialized for FP and MW, and for
-    FQ, FQ0 and M when |W| is at most both ``MATERIALIZE_LIMIT`` and the
-    group cap; in group-ring form otherwise."""
-    enumerable = algebra.group.ctype.group_order <= min(MATERIALIZE_LIMIT, cap)
+    FQ, FQ0 and M when |W| is at most ``MATERIALIZE_LIMIT``; in group-ring
+    form otherwise."""
+    enumerable = algebra.group.ctype.group_order <= MATERIALIZE_LIMIT
     spaces = [s for s in SPACES if s not in ENUMERATING_SPACES]
     if enumerable:
         spaces += ENUMERATING_SPACES
@@ -248,8 +245,7 @@ def check_boundary_squares(algebra: ChainAlgebra, rng,
     return ", ".join(details)
 
 
-def check_fibre_doubling(algebra: ChainAlgebra, rng,
-                         cap: int = DEFAULT_GROUP_CAP) -> str:
+def check_fibre_doubling(algebra: ChainAlgebra, rng) -> str:
     """FQ homology is the FQ0 homology doubled.
 
     Structural argument, valid for every group: the boundary multiplies
@@ -257,14 +253,13 @@ def check_fibre_doubling(algebra: ChainAlgebra, rng,
     preserves the splitting of FQ by the parity of det(w)(-1)^degree,
     one part being FQ0; left translation by any fixed odd element is a
     chain isomorphism between the two parts.  The code checks the
-    support fact; groups of order at most both ``DOUBLING_LIMIT`` and the
-    group cap are also compared numerically, the FQ0 complex reduced
-    over the group ring against the FQ complex with every basis chain
-    kept, so the reduction is checked by a route that does not use it."""
+    support fact; groups of order at most ``DOUBLING_LIMIT`` are also
+    compared numerically, the FQ0 complex reduced over the group ring
+    against the FQ complex with every basis chain kept, so the reduction
+    is checked by a route that does not use it."""
     _require(fibre_support_is_reflections(algebra),
              "boundary support is not reflections")
-    order = algebra.group.ctype.group_order
-    if order <= min(DOUBLING_LIMIT, cap):
+    if algebra.group.ctype.group_order <= DOUBLING_LIMIT:
         full = homology_of(_unreduced_complex(algebra, "FQ"))
         half = homology_of(build_complex(algebra, "FQ0"))
         _require(len(full) == len(half),

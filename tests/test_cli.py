@@ -79,16 +79,15 @@ def test_type_parse_error_exits_2(capsys):
     (["A3", "MW"], "H0=Z H1=Z H2=Z_2 H3=0\n"),
     (["H3", "FP"], "H0=Z H1=0 H2=Z^7\n"),
 ])
-def test_trivial_module_spaces_pass_group_cap_one(capsys, argv, expected):
-    # FP and MW tensor over the one-element group and never enumerate W.
-    assert run(capsys, "homology", *argv, "--group-cap", "1") == (
-        0, expected, "")
-
-
-def test_group_cap_exits_3(capsys):
-    code, _, err = run(capsys, "homology", "B4", "M", "--group-cap", "100")
-    assert code == 3
-    assert "384" in err and "100" in err
+def test_trivial_module_spaces_pass_group_cap_one(capsys, monkeypatch,
+                                                  argv, expected):
+    # FP and MW tensor over the one-element group and never enumerate W,
+    # so they finish even where every enumeration is refused.
+    def enumerate_elements(self):
+        raise AssertionError("enumerated W")
+    monkeypatch.setattr(cli.CoxeterGroup, "enumerate_elements",
+                        enumerate_elements)
+    assert run(capsys, "homology", *argv) == (0, expected, "")
 
 
 def test_tensor_size_cap_exits_3_and_skips_in_verify(capsys, monkeypatch):
@@ -132,7 +131,7 @@ def test_verify_tables_reports_out_of_memory_as_skip(capsys, monkeypatch):
 
 def test_verify_invariants_keep_finished_checks_when_out_of_memory(
         capsys, monkeypatch):
-    def property_suite(type_name, cap=None):
+    def property_suite(type_name):
         yield ("first-check", True, "done")
         raise MemoryError
     monkeypatch.setattr("ncphom.cli.property_suite", property_suite)
@@ -145,21 +144,36 @@ def test_verify_invariants_keep_finished_checks_when_out_of_memory(
     ]
 
 
+def parse_error(capsys, *argv):
+    """The exit code, stdout and last stderr line of an argument that
+    argparse refuses."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("argv", [["homology", "A3", "FQ"],
+                                  ["verify", "tables"]],
+                         ids=["homology", "verify"])
+def test_group_cap_is_not_an_option(capsys, argv):
+    # The group cap is the constant DEFAULT_GROUP_CAP.
+    assert parse_error(capsys, *argv, "--group-cap", "1") == (
+        2, "", "ncphom: error: unrecognized arguments: --group-cap 1")
+
+
 @pytest.mark.parametrize("cap", ["0", "-1"])
 def test_homology_rejects_group_cap_below_one(capsys, cap):
-    code, out, err = run(capsys, "homology", "A3", "FQ", "--group-cap", cap)
-    assert code == 2
-    assert out == ""
-    assert err == f"error: --group-cap must be at least 1, got {cap}\n"
+    assert parse_error(capsys, "homology", "A3", "FQ",
+                       "--group-cap", cap) == (
+        2, "", f"ncphom: error: unrecognized arguments: --group-cap {cap}")
 
 
 @pytest.mark.parametrize("argv,err", [
     (["E9", "FP"], "error: E9 is not a supported irreducible type\n"),
-    (["E8", "FP", "--group-cap", "0"],
-     "error: --group-cap must be at least 1, got 0\n"),
     (["E8", "FP", "--dump-basis", "9"],
      "error: --dump-basis K must be in 0..8 for E8, got 9\n"),
-], ids=["type", "group-cap", "dump-basis"])
+], ids=["type", "dump-basis"])
 def test_homology_checks_arguments_before_building(capsys, monkeypatch,
                                                    argv, err):
     def build_all(type_name):
@@ -392,44 +406,24 @@ def test_verify_skips_incomplete_rows(capsys):
     ]
 
 
-def test_verify_skips_over_cap(capsys):
-    code, out, _ = run(capsys, "verify", "tables", "--type", "B4",
-                       "--space", "FQ0", "--group-cap", "100")
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0].startswith("SKIP tables B4 FQ0:")
-    assert "384" in lines[0]
-    assert lines[1] == "0 passed, 0 failed, 1 skipped"
-
-
-def test_verify_group_cap_skips_fq0_but_never_fp(capsys):
-    # FP never enumerates the group, so the cap cannot refuse it.
-    code, out, _ = run(capsys, "verify", "tables", "--type", "A2",
-                       "--group-cap", "1")
-    assert code == 0
-    assert out.splitlines() == [
-        "PASS tables A2 FP: H0=Z H1=Z^2",
-        "SKIP tables A2 FQ0: |W(A2)| = 6 exceeds the cap 1",
-        "1 passed, 0 failed, 1 skipped",
-    ]
-
-
-@pytest.mark.parametrize("cap,squares,doubling", [
-    ([], "FP materialized, MW materialized, FQ materialized, "
-         "FQ0 materialized, M materialized",
+@pytest.mark.parametrize("type_name,squares,doubling", [
+    ("A3", "FP materialized, MW materialized, FQ materialized, "
+           "FQ0 materialized, M materialized",
      "support check + numeric comparison"),
-    (["--group-cap", "1"], "FP materialized, MW materialized, "
-                           "FQ/FQ0/M in group-ring form",
+    ("B4", "FP materialized, MW materialized, FQ/FQ0/M in group-ring form",
      "support check (group too large to enumerate)"),
-], ids=["default", "cap-1"])
+], ids=["default", "B4"])
 def test_verify_invariants_enumerate_only_within_the_group_cap(
-        capsys, cap, squares, doubling):
-    code, out, _ = run(capsys, "verify", "invariants", "--type", "A3", *cap)
+        capsys, type_name, squares, doubling):
+    # |W(A3)| = 24 is within properties.DOUBLING_LIMIT; |W(B4)| = 384 is
+    # over properties.MATERIALIZE_LIMIT.
+    code, out, _ = run(capsys, "verify", "invariants", "--type", type_name)
     assert code == 0
     lines = out.splitlines()
-    assert (f"PASS invariants A3 boundary-squares-vanish: {squares}"
+    assert (f"PASS invariants {type_name} boundary-squares-vanish: "
+            f"{squares}" in lines)
+    assert (f"PASS invariants {type_name} fibre-doubling: {doubling}"
             in lines)
-    assert f"PASS invariants A3 fibre-doubling: {doubling}" in lines
     assert lines[-1] == "12 passed, 0 failed, 0 skipped"
 
 
@@ -448,7 +442,7 @@ DIHEDRAL_TYPES = " ".join(f"I2({m})" for m in range(3, 11))
 def test_table_tasks_keep_first_seen_order(argv, expected):
     args = cli.make_parser().parse_args(["verify", "tables", *argv])
     assert cli._table_tasks(args) == [
-        (type_name, space, cli.DEFAULT_GROUP_CAP)
+        (type_name, space)
         for space, types in expected for type_name in types.split()]
 
 
@@ -510,11 +504,9 @@ def test_verify_rejects_max_rank_below_one(capsys, suite, bound):
 @pytest.mark.parametrize("suite", ["tables", "invariants", "all"])
 @pytest.mark.parametrize("cap", ["0", "-1"])
 def test_verify_rejects_group_cap_below_one(capsys, suite, cap):
-    code, out, err = run(capsys, "verify", suite, "--type", "A3",
-                         "--space", "FQ0", "--group-cap", cap)
-    assert code == 2
-    assert out == ""
-    assert err == f"error: --group-cap must be at least 1, got {cap}\n"
+    assert parse_error(capsys, "verify", suite, "--type", "A3",
+                       "--space", "FQ0", "--group-cap", cap) == (
+        2, "", f"ncphom: error: unrecognized arguments: --group-cap {cap}")
 
 
 def test_verify_reports_mismatch(capsys, monkeypatch):

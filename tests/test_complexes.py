@@ -168,8 +168,9 @@ def test_parity_half_rejects_an_even_element(flags):
 
 
 def test_group_cap_stops_enumeration():
-    with pytest.raises(GroupCapExceeded):
-        build_complex(algebra_for("A3"), "M", cap=10)
+    # |W(E7)| = 2903040 is over the cap, so nothing is enumerated.
+    with pytest.raises(GroupCapExceeded, match="2903040"):
+        CoxeterGroup.from_name("E7").enumerate_elements()
 
 
 def test_tensor_size_cap_refuses_before_allocating(monkeypatch):
@@ -494,6 +495,35 @@ def test_one_pass_homology_matches_each_boundary_on_its_own(name, space):
     for cx in (_unreduced_complex(algebra, space),
                build_complex(algebra, space)):
         assert homology_of(cx) == per_boundary_homology(cx)
+
+
+# The group-tensored tables of the benchmark's workloads (``all-spaces``,
+# then ``verify-batch``), and H3 FQ0.
+UNIT_PIVOT_TABLES = (
+    [(name, space) for name in ("A3", "B3") for space in ("FQ0", "FQ", "M")]
+    + [("H3", "FQ0"), ("A2", "FQ0"), ("A2", "FQ"), ("I2(5)", "FQ")]
+    + [(f"I2({m})", "FQ0") for m in range(3, 11)])
+
+
+@pytest.mark.parametrize("name,space", UNIT_PIVOT_TABLES)
+def test_group_tensored_tables_finish_on_unit_pivots(monkeypatch, name,
+                                                     space):
+    """These reduced tables take only unit pivots along ``homology_of``'s
+    one-pass route: every boundary's ``unit_columns`` has ``rank``
+    entries, so the least-entry loop of the Smith form never runs on
+    them.  A4 FQ0, A4 FQ and D4 FQ0 fail this."""
+    import ncphom.homology as homology
+
+    forms = []
+
+    def recording(matrix):
+        forms.append(invariant_factors(matrix))
+        return forms[-1]
+    monkeypatch.setattr(homology, "invariant_factors", recording)
+    homology_of(build_complex(algebra_for(name), space))
+    assert forms
+    assert [len(smith.unit_columns) for smith in forms] == [
+        rank for _, rank in forms]
 
 
 @pytest.mark.parametrize("name", ["A2", "A3", "B2", "B3", "D3", "I2(5)",
