@@ -79,8 +79,8 @@ def test_type_parse_error_exits_2(capsys):
     (["A3", "MW"], "H0=Z H1=Z H2=Z_2 H3=0\n"),
     (["H3", "FP"], "H0=Z H1=0 H2=Z^7\n"),
 ])
-def test_trivial_module_spaces_pass_group_cap_one(capsys, monkeypatch,
-                                                  argv, expected):
+def test_trivial_module_spaces_never_enumerate_the_group(
+        capsys, monkeypatch, argv, expected):
     # FP and MW tensor over the one-element group and never enumerate W,
     # so they finish even where every enumeration is refused.
     def enumerate_elements(self):
@@ -160,13 +160,6 @@ def test_group_cap_is_not_an_option(capsys, argv):
     # The group cap is the constant DEFAULT_GROUP_CAP.
     assert parse_error(capsys, *argv, "--group-cap", "1") == (
         2, "", "ncphom: error: unrecognized arguments: --group-cap 1")
-
-
-@pytest.mark.parametrize("cap", ["0", "-1"])
-def test_homology_rejects_group_cap_below_one(capsys, cap):
-    assert parse_error(capsys, "homology", "A3", "FQ",
-                       "--group-cap", cap) == (
-        2, "", f"ncphom: error: unrecognized arguments: --group-cap {cap}")
 
 
 @pytest.mark.parametrize("argv,err", [
@@ -406,17 +399,21 @@ def test_verify_skips_incomplete_rows(capsys):
     ]
 
 
+MATERIALIZED = ("FP materialized, MW materialized, FQ materialized, "
+                "FQ0 materialized, M materialized")
+
+
 @pytest.mark.parametrize("type_name,squares,doubling", [
-    ("A3", "FP materialized, MW materialized, FQ materialized, "
-           "FQ0 materialized, M materialized",
-     "support check + numeric comparison"),
+    ("A3", MATERIALIZED, "support check + numeric comparison"),
+    ("H3", MATERIALIZED, "support check + numeric comparison"),
     ("B4", "FP materialized, MW materialized, FQ/FQ0/M in group-ring form",
      "support check (group too large to enumerate)"),
-], ids=["default", "B4"])
-def test_verify_invariants_enumerate_only_within_the_group_cap(
+], ids=["A3", "H3", "B4"])
+def test_verify_invariants_enumerate_only_within_the_materialize_limit(
         capsys, type_name, squares, doubling):
-    # |W(A3)| = 24 is within properties.DOUBLING_LIMIT; |W(B4)| = 384 is
-    # over properties.MATERIALIZE_LIMIT.
+    # |W(A3)| = 24 and |W(H3)| = 120 are within
+    # properties.MATERIALIZE_LIMIT, so both checks enumerate W;
+    # |W(B4)| = 384 is over it, so neither does.
     code, out, _ = run(capsys, "verify", "invariants", "--type", type_name)
     assert code == 0
     lines = out.splitlines()
@@ -499,14 +496,6 @@ def test_verify_rejects_max_rank_below_one(capsys, suite, bound):
     assert code == 2
     assert out == ""
     assert err == f"error: --max-rank must be at least 1, got {bound}\n"
-
-
-@pytest.mark.parametrize("suite", ["tables", "invariants", "all"])
-@pytest.mark.parametrize("cap", ["0", "-1"])
-def test_verify_rejects_group_cap_below_one(capsys, suite, cap):
-    assert parse_error(capsys, "verify", suite, "--type", "A3",
-                       "--space", "FQ0", "--group-cap", cap) == (
-        2, "", f"ncphom: error: unrecognized arguments: --group-cap {cap}")
 
 
 def test_verify_reports_mismatch(capsys, monkeypatch):
@@ -699,6 +688,48 @@ def test_failed_invariant_reports_fail_under_optimize(flags):
     assert failed == ["FAIL invariants A2 boundary-squares-vanish",
                       "FAIL invariants A2 fibre-doubling"]
     assert lines[-1].endswith("2 failed, 0 skipped")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+@pytest.mark.parametrize("patched,error,message,checks", [
+    ("build_complex", "RuntimeError", "A2: 4 even and 2 odd elements",
+     ["boundary-squares-vanish", "fibre-doubling"]),
+    ("homology_of", "ValueError", "chain complex has no degrees",
+     ["algebra-differential-exact", "fibre-doubling"]),
+], ids=["RuntimeError", "ValueError"])
+def test_raising_invariant_reports_fail_under_optimize(
+        flags, patched, error, message, checks):
+    """An answer check of the package that raises inside an invariant
+    check is one FAIL line with its text, with and without ``python -O``,
+    and every later check still runs."""
+    script = (
+        "import sys\n"
+        "import ncphom.properties as p\n"
+        "from ncphom.cli import main\n"
+        "def fail(*args):\n"
+        f"    raise {error}({message!r})\n"
+        f"p.{patched} = fail\n"
+        "print('optimize', sys.flags.optimize)\n"
+        "sys.exit(main(['verify', 'invariants', '--type', 'A2']))\n")
+    proc = _fresh_python(*flags, "-c", script)
+    lines = proc.stdout.splitlines()
+    assert lines[0] == f"optimize {len(flags)}"
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        f"FAIL invariants A2 {check}: {message}" for check in checks]
+    assert len(lines) == 14
+    assert lines[-1] == "10 passed, 2 failed, 0 skipped"
+
+
+def test_group_cap_in_an_invariant_check_still_exits_3(capsys, monkeypatch):
+    def build_complex(algebra, space):
+        raise cli.GroupCapExceeded("|W(A2)| = 6 exceeds the cap 5")
+    monkeypatch.setattr("ncphom.properties.build_complex", build_complex)
+    code, out, err = run(capsys, "verify", "invariants", "--type", "A2")
+    assert (code, err) == (3, "error: |W(A2)| = 6 exceeds the cap 5\n")
+    lines = out.splitlines()
+    assert len(lines) == 7
+    assert all(line.startswith("PASS invariants A2 ") for line in lines)
 
 
 # -- one error handler -------------------------------------------------------
