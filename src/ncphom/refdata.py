@@ -1,16 +1,29 @@
 """Bundled reference tables of integral homology, with lookup.
 
-Rows are read from the JSON files in the ``data`` directory beside this
-module, once per process.  Each row carries a type name, a space token,
-one homology group per topological degree (``None`` where the value is
-not known), an Euler characteristic, a source tag naming the bundled
-table, and a status:
+Rows are read once per process from one plain-text table,
+``data/reference_rows.txt`` beside this module.  Each row carries a type
+name, a space token, one homology group per topological degree
+(``None`` where the value is not known), an Euler characteristic, a
+source tag naming the bundled table, and a status:
 
 - ``ok``            every value given is trusted (A6 and B5 FQ0 leave
                     their upper degrees ``None``),
 - ``inconsistent``  the printed groups and Euler characteristic cannot
                     both be right; nothing from the row is asserted,
 - ``unsupported``   a type this package does not construct (reducible).
+
+The table is split into sections.  A line ``[fp_linear_a]`` starts one,
+and the rows below it carry the source ``reference-tables/fp_linear_a``.
+A row is one line of whitespace-separated fields::
+
+    A5 FP ok 1 | Z 0 Z^2+Z_2 Z^4 Z^2
+
+type, space (``FP`` or ``FQ0``), status and Euler characteristic, then
+``|`` and the groups H0, H1, ... in the notation that ``ncphom
+homology`` prints (``0``, ``Z``, ``Z^7``, ``Z^2+Z_6``; one spelling per
+group, read by ``HomologyGroup.parse``), with ``?`` for a degree that
+is not known.  Blank lines and lines starting with ``#`` are skipped.
+A malformed line raises ValueError naming its line number.
 
 Dihedral rows for any order are synthesized from closed forms instead of
 being stored per order.  An FQ row is its FQ0 row doubled degreewise
@@ -21,17 +34,14 @@ being stored per order.  An FQ row is its FQ0 row doubled degreewise
 
 from __future__ import annotations
 
-import json
 import os
 from collections import namedtuple
 
 from .values import CoxeterType, HomologyGroup, TypeParseError
 
-DATA_FILES = (
-    "fp_exceptional", "fq0_exceptional",
-    "fp_linear_a", "fp_linear_b", "fp_linear_d",
-    "fq0_linear_a", "fq0_linear_b", "fq0_linear_d",
-)
+TABLE = "reference_rows.txt"
+STORED_SPACES = ("FP", "FQ0")
+STATUSES = ("ok", "inconsistent", "unsupported")
 
 
 class ReferenceRow(namedtuple(
@@ -53,12 +63,41 @@ class ReferenceRow(namedtuple(
             2 * self.euler, self.source + "#doubled", self.status)
 
 
-def _decode(row: dict) -> ReferenceRow:
-    groups = tuple(
-        None if g is None else HomologyGroup.from_dict(g)
-        for g in row["groups"])
-    return ReferenceRow(row["type"], row["space"], groups, row["euler"],
-                        row["source"], row.get("status", "ok"))
+def _read_rows(lines) -> tuple:
+    """The rows of a table given as lines of text (see the module
+    docstring)."""
+    rows, source = [], None
+    groups_of = {"?": None}  # tokens repeat: each is read once
+    for number, line in enumerate(lines, 1):
+        fields = line.split()
+        if not fields or fields[0][0] == "#":
+            continue
+        try:
+            if fields[0][0] == "[":
+                section = fields[0][1:-1]
+                if len(fields) > 1 or not section or fields[0][-1] != "]":
+                    raise ValueError(f"bad section line {line.strip()!r}")
+                source = "reference-tables/" + section
+                continue
+            if source is None:
+                raise ValueError("row before the first [section] line")
+            if len(fields) < 6 or fields[4] != "|":
+                raise ValueError("expected '<type> <space> <status> "
+                                 "<euler> | <H0> <H1> ...'")
+            type_name, space, status, euler = fields[:4]
+            if space not in STORED_SPACES:
+                raise ValueError(f"unknown space {space!r}")
+            if status not in STATUSES:
+                raise ValueError(f"unknown status {status!r}")
+            for token in fields[5:]:
+                if token not in groups_of:
+                    groups_of[token] = HomologyGroup.parse(token)
+            groups = tuple(groups_of[token] for token in fields[5:])
+            rows.append(ReferenceRow(type_name, space, groups, int(euler),
+                                     source, status))
+        except ValueError as err:
+            raise ValueError(f"{TABLE} line {number}: {err}") from None
+    return tuple(rows)
 
 
 _cache: tuple | None = None
@@ -67,14 +106,9 @@ _cache: tuple | None = None
 def load_rows() -> tuple:
     global _cache
     if _cache is None:
-        rows = []
-        here = os.path.dirname(__file__)
-        for stem in DATA_FILES:
-            path = os.path.join(here, "data", f"{stem}.json")
-            with open(path, encoding="utf-8") as handle:
-                payload = json.load(handle)
-            rows.extend(_decode(r) for r in payload["rows"])
-        _cache = tuple(rows)
+        path = os.path.join(os.path.dirname(__file__), "data", TABLE)
+        with open(path, encoding="utf-8") as handle:
+            _cache = _read_rows(handle)
     return _cache
 
 

@@ -15,7 +15,6 @@ accepts for E, F and H are the ones the table holds.
 
 from __future__ import annotations
 
-import re
 from collections import namedtuple
 from math import prod
 
@@ -45,20 +44,22 @@ class CoxeterType(namedtuple("CoxeterType", "family rank dihedral_order",
     @staticmethod
     def parse(text: str) -> "CoxeterType":
         text = text.strip()
-        m = re.fullmatch(r"I2\((\d+)\)", text)
-        if m:
-            order = int(m.group(1))
+        # str.isdecimal accepts exactly the Unicode decimal digits, which
+        # int reads; str.isdigit would also pass superscripts such as ².
+        inner = text[3:-1]
+        if text[:3] == "I2(" and text[-1:] == ")" and inner.isdecimal():
+            order = int(inner)
             if order < 3:
                 extra = " (I2(2) is reducible)" if order == 2 else ""
                 raise TypeParseError(
                     f"I2({order}) is not supported: need m >= 3{extra}")
             return CoxeterType("I", 2, order)
-        m = re.fullmatch(r"([ABDEFH])(\d+)", text)
-        if not m:
+        family, digits = text[:1], text[1:]
+        if family not in "ABDEFH" or not digits.isdecimal():
             raise TypeParseError(
                 f"cannot parse Coxeter type {text!r}; expected one of "
                 "A<n>, B<n>, D<n>, E6|E7|E8, F4, H3|H4, I2(m)")
-        family, rank = m.group(1), int(m.group(2))
+        rank = int(digits)
         # E, F and H ranks are looked up; the A, B and D formulas are not
         # called, since a huge rank would build a huge degree tuple.
         if (rank < {"B": 2, "D": 3}.get(family, 1)
@@ -132,12 +133,28 @@ class HomologyGroup(namedtuple("HomologyGroup", "free_rank torsion")):
         parts.extend(f"Z_{t}" for t in self.torsion)
         return "+".join(parts) if parts else "0"
 
+    @staticmethod
+    def parse(text: str) -> "HomologyGroup":
+        """The group that ``str`` prints as ``text``.  A group has one
+        spelling: any other text, such as ``Z^1``, ``Z+Z`` or ``Z^02``,
+        raises ValueError."""
+        free, torsion = 0, []
+        for part in text.split("+"):
+            if part == "Z":
+                free += 1
+            elif part[:2] == "Z^":
+                free += int(part[2:])
+            elif part[:2] == "Z_":
+                torsion.append(int(part[2:]))
+            elif part != "0":
+                raise ValueError(f"not a homology group: {text!r}")
+        group = HomologyGroup(free, torsion)
+        if str(group) != text:
+            raise ValueError(f"{text!r} is written {str(group)!r}")
+        return group
+
     def to_dict(self) -> dict:
         return {"free": self.free_rank, "torsion": list(self.torsion)}
-
-    @staticmethod
-    def from_dict(d: dict) -> "HomologyGroup":
-        return HomologyGroup(d["free"], tuple(d["torsion"]))
 
     def doubled(self) -> "HomologyGroup":
         """Direct sum with itself."""

@@ -274,7 +274,8 @@ def test_homology_group_formatting_and_dicts():
     assert str(HomologyGroup(2, (2, 6))) == "Z^2+Z_2+Z_6"
     assert str(HomologyGroup(0, (3,))) == "Z_3"
     g = HomologyGroup(4, (2, 2))
-    assert HomologyGroup.from_dict(g.to_dict()) == g
+    assert g.to_dict() == {"free": 4, "torsion": [2, 2]}
+    assert HomologyGroup.parse(str(g)) == g
     assert g.doubled() == HomologyGroup(8, (2, 2, 2, 2))
     assert HomologyGroup(0).is_trivial
     assert not g.is_trivial

@@ -1,11 +1,47 @@
-"""Bundled reference tables: decoding, consistency, lookup."""
+"""Bundled reference tables: the table's notation, decoding,
+consistency, lookup."""
 
+import hashlib
+import os
 from math import prod
 
 import pytest
 
-from ncphom import HomologyGroup, all_rows, load_rows, lookup
+from ncphom import HomologyGroup, all_rows, load_rows, lookup, refdata
 from ncphom.rootsys import CoxeterType, TypeParseError
+from test_cli import _fresh_python
+
+TABLE_PATH = os.path.join(os.path.dirname(refdata.__file__), "data",
+                          refdata.TABLE)
+
+# SHA-256 of every stored row, field by field, in load order, computed
+# before the rows moved into the plain-text table, so the move lost
+# nothing: any change to a type, space, group, Euler characteristic,
+# source, status or the order of the rows changes it.
+ROWS_DIGEST = (
+    "7f05c2493d4cc72c348e487362c2b509cd9859c71628326539bc85c192f4cdbc")
+
+
+def _row_text(row):
+    groups = ";".join(
+        "?" if g is None
+        else f"{g.free_rank}:{','.join(map(str, g.torsion))}"
+        for g in row.groups)
+    return "|".join([row.type_name, row.space, str(row.euler), row.source,
+                     row.status, groups])
+
+
+def test_stored_rows_match_their_pinned_digest():
+    rows = load_rows()
+    assert len(rows) == 43
+    for row in rows:
+        assert type(row.euler) is int and type(row.groups) is tuple
+        assert all(g is None or type(g) is HomologyGroup
+                   for g in row.groups)
+        assert all(type(t) is int for g in row.groups if g is not None
+                   for t in (g.free_rank, *g.torsion))
+    text = "\n".join(map(_row_text, rows))
+    assert hashlib.sha256(text.encode()).hexdigest() == ROWS_DIGEST
 
 
 def test_every_row_decodes_with_a_source():
@@ -179,3 +215,94 @@ def test_lookup_propagates_errors_other_than_a_bad_type(monkeypatch):
 def test_pinned_reference_values(name, space, frees):
     row = lookup(name, space)
     assert [g.free_rank for g in row.groups] == frees
+
+
+def test_every_group_is_written_as_str_prints_it():
+    """Each group token of the table is the ``str`` of the group the row
+    holds there, so each group has one spelling, and ``?`` is None."""
+    with open(TABLE_PATH, encoding="utf-8") as handle:
+        written = [line.split("|")[1].split() for line in handle
+                   if "|" in line and line[0] != "#"]
+    rows = load_rows()
+    assert len(written) == len(rows)
+    for tokens, row in zip(written, rows):
+        assert tokens == ["?" if g is None else str(g) for g in row.groups]
+    tokens = {token for line in written for token in line}
+    assert {"?", "0", "Z", "Z^7", "Z^2+Z_6", "Z^2+Z_2+Z_2"} <= tokens
+    for token in tokens - {"?"}:
+        assert str(HomologyGroup.parse(token)) == token
+
+
+@pytest.mark.parametrize("group", [
+    HomologyGroup(0), HomologyGroup(1), HomologyGroup(43),
+    HomologyGroup(0, (2,)), HomologyGroup(1, (2, 2)),
+    HomologyGroup(2, (6,)), HomologyGroup(4, (2, 2, 2)),
+    HomologyGroup(0, (2, 4, 12)), HomologyGroup(10 ** 30, (10 ** 20,)),
+])
+def test_group_notation_reads_back(group):
+    assert HomologyGroup.parse(str(group)) == group
+
+
+@pytest.mark.parametrize("text", [
+    "", "?", "z", "Z^", "Z_", "Z^1", "Z^0", "Z^02", "Z^+2", "Z^ 2",
+    "Z^٣", "Z_1", "Z_0", "Z^-1", "Z+Z", "Z_2+Z^2", "Z_4+Z_2", "Z_2+",
+    "+Z", "0+Z", "0+0", "00", "Z^2+Z_6+", "Z^2 Z_6", "Z^2,Z_6", "Z_2_2",
+])
+def test_group_notation_has_one_spelling(text):
+    with pytest.raises(ValueError):
+        HomologyGroup.parse(text)
+
+
+BAD_TABLES = [
+    # (lines, number of the line named in the error)
+    (["[s]", "A3 FP ok 1 | Z Z^1 Z^2"], 2),
+    (["[s]", "A3 FP ok 1 | Z Z^2 Z^3+Z_1"], 2),
+    (["[s]", "", "A3 FP ok 1 Z Z^2 Z^2"], 3),
+    (["[s]", "A3 FP ok 1 | Z Z^2 | Z^2"], 2),
+    (["[s]", "# comment", "A3 FP ok | Z Z^2 Z^2"], 3),
+    (["[s]", "A3 FP ok 1 extra | Z Z^2 Z^2"], 2),
+    (["[s]", "A3 FP ok 1 |"], 2),
+    (["[s]", "A3 FP ok one | Z Z^2 Z^2"], 2),
+    (["[s]", "A3 FQ ok 1 | Z Z^2 Z^2"], 2),
+    (["[s]", "A3 FP OK 1 | Z Z^2 Z^2"], 2),
+    (["A3 FP ok 1 | Z Z^2 Z^2"], 1),
+    (["[s]", "A3 FP ok 1 | Z", "[two words]"], 3),
+    (["[s]", "[]"], 2),
+    (["[s", "A3 FP ok 1 | Z Z^2 Z^2"], 1),
+]
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_malformed_lines_raise_naming_their_number(flags):
+    """The reader's checks are explicit raises, so they run under ``-O``
+    too, and each names the line it rejects."""
+    script = ("from ncphom.refdata import _read_rows\n"
+              f"for lines, _ in {BAD_TABLES!r}:\n"
+              "    try:\n"
+              "        _read_rows(line + '\\n' for line in lines)\n"
+              "    except ValueError as err:\n"
+              "        print(err)\n"
+              "    else:\n"
+              "        print('read')\n")
+    proc = _fresh_python(*flags, "-c", script)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    messages = proc.stdout.splitlines()
+    assert len(messages) == len(BAD_TABLES)
+    for message, (_, number) in zip(messages, BAD_TABLES):
+        assert message.startswith(f"reference_rows.txt line {number}: ")
+
+
+def test_well_formed_lines_read_as_rows():
+    rows = refdata._read_rows([
+        "# a comment\n", "\n", "[fp_test]\n",
+        "  A3  FP ok 1 |  Z   Z^2 Z^2  \n",
+        "B5 FQ0 inconsistent 9600 | Z Z^24+Z_2 ? ? ?",
+    ])
+    assert rows == (
+        refdata.ReferenceRow(
+            "A3", "FP", (HomologyGroup(1), HomologyGroup(2),
+                         HomologyGroup(2)), 1, "reference-tables/fp_test"),
+        refdata.ReferenceRow(
+            "B5", "FQ0", (HomologyGroup(1), HomologyGroup(24, (2,)),
+                          None, None, None), 9600,
+            "reference-tables/fp_test", "inconsistent"))

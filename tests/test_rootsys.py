@@ -1,12 +1,14 @@
 """Type parsing, root systems, and the fixed reflection order."""
 
 import random
+import re
 from math import factorial
 
 import pytest
 
 from ncphom import rootsys
 from ncphom.rootsys import CoxeterType, RootSystem, TypeParseError
+from ncphom.values import DEGREES
 from test_coxgroup import _mat_mul, _simple_root_matrices
 
 
@@ -44,6 +46,75 @@ def test_rank_rejections_keep_their_message(bad):
     with pytest.raises(TypeParseError) as err:
         CoxeterType.parse(bad)
     assert str(err.value) == message
+
+
+def _regex_parse(text):
+    """``CoxeterType.parse`` as it was written with regular expressions,
+    kept as the reference grammar for the parser built on string
+    methods.  ``\\d`` matches every Unicode decimal digit."""
+    text = text.strip()
+    m = re.fullmatch(r"I2\((\d+)\)", text)
+    if m:
+        order = int(m.group(1))
+        if order < 3:
+            extra = " (I2(2) is reducible)" if order == 2 else ""
+            raise TypeParseError(
+                f"I2({order}) is not supported: need m >= 3{extra}")
+        return CoxeterType("I", 2, order)
+    m = re.fullmatch(r"([ABDEFH])(\d+)", text)
+    if not m:
+        raise TypeParseError(
+            f"cannot parse Coxeter type {text!r}; expected one of "
+            "A<n>, B<n>, D<n>, E6|E7|E8, F4, H3|H4, I2(m)")
+    family, rank = m.group(1), int(m.group(2))
+    if (rank < {"B": 2, "D": 3}.get(family, 1)
+            or family in "EFH" and DEGREES[family](rank) is None):
+        extra = ""
+        if family == "D" and rank == 2:
+            extra = " (D2 is reducible)"
+        raise TypeParseError(
+            f"{family}{rank} is not a supported irreducible type{extra}")
+    return CoxeterType(family, rank)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as err:
+        return type(err), str(err)
+
+
+PARSE_CORPUS = [
+    "A1", "A3", "A03", "A000", "B2", "D3", "D2", "E6", "E06", "E9", "F4",
+    "H3", "H4", "H5", "I2(5)", "I2(05)", "I2(0)", "I2(2)", "I2(3)",
+    " A3", "A3 ", "\tB4\n", " I2(7) ", "\xa0D4\u2003",
+    "A٣", "I2(٧)", "E６", "A²", "I2(³)",
+    "AⅣ", "I2()", "I2(5", "I25)", "I2)5(", "I2(5))", "I2((5)",
+    "I2 (5)", "I2( 5)", "", " ", "A", "3", "I", "I2", "a3", "b2", "i2(5)",
+    "e8", "A 3", "A3 B2", "A-3", "A+3", "A3.0", "A1_0", "A3\n\n", "AA3",
+    "G2", "X4", "Z^3",
+]
+
+
+@pytest.mark.parametrize("text", PARSE_CORPUS)
+def test_parse_follows_the_regular_expression_grammar(text):
+    assert (_outcome(CoxeterType.parse, text)
+            == _outcome(_regex_parse, text))
+
+
+def test_parse_reads_decimal_digits_only():
+    """``\\d`` and ``str.isdecimal`` accept Unicode decimal digits, which
+    ``int`` reads; a superscript is a digit but not a decimal, and stays
+    a TypeParseError instead of reaching ``int``."""
+    assert CoxeterType.parse("A٣") == CoxeterType("A", 3)
+    assert CoxeterType.parse("I2(05)") == CoxeterType("I", 2, 5)
+    assert CoxeterType.parse("A03").name == "A3"
+    for bad in ("A²", "I2(³)", "I2()", "I2(5", "", "a3"):
+        with pytest.raises(TypeParseError) as err:
+            CoxeterType.parse(bad)
+        assert str(err.value) == (
+            f"cannot parse Coxeter type {bad!r}; expected one of "
+            "A<n>, B<n>, D<n>, E6|E7|E8, F4, H3|H4, I2(m)")
 
 
 def test_reducible_rejections_explain_themselves():
